@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet lint test race test-race cover bench bench-compare bench-baseline alloc-baseline alloc-compare gobench fuzz vuln repro serve profile trace metrics-lint cluster-metrics-lint cluster-test pencil-test cluster-demo load-smoke load-baseline load-compare examples clean
+.PHONY: all verify build vet lint test race test-race cover bench bench-compare bench-baseline alloc-baseline alloc-compare gobench fuzz vuln repro serve profile trace metrics-lint cluster-metrics-lint cluster-test pencil-test perf-test cluster-demo load-smoke load-baseline load-compare examples clean
 
 all: verify
 
@@ -65,6 +65,14 @@ cluster-test:
 pencil-test:
 	$(GO) test -race -count=1 ./internal/pencil/... ./internal/cluster/wire/
 	$(GO) test -race -count=1 -run 'Pencil|FFT2D|RequestBodyLimit' ./internal/cluster ./internal/server/ ./internal/load/
+
+# perf-test vets and tests the fftperf benchmark (cmd/fftperf/README.md).
+# It is a nested module, so the root `go build ./...` and `go test ./...`
+# never compile it, yet it builds against the server's request and
+# response types and about ten other internal APIs. Its tests start real
+# fftd processes (~17 s). Mirrors the CI perf job.
+perf-test:
+	cd cmd/fftperf && $(GO) vet . && $(GO) test .
 
 # cluster-demo runs the in-process 3-node ring walkthrough: a
 # 64-transform batch with one node killed mid-batch and zero failed
@@ -228,6 +236,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFFTInverse -fuzztime=$(FUZZTIME) ./internal/fft
 	$(GO) test -fuzz=FuzzAnyPlanDFT -fuzztime=$(FUZZTIME) ./internal/fft
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/cluster/wire
+	$(GO) test -fuzz=FuzzDecodeFFTRequest -fuzztime=$(FUZZTIME) ./internal/server
 
 # vuln scans the module with govulncheck when it is installed; the tool
 # is optional so offline environments are not broken.

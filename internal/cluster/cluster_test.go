@@ -58,10 +58,17 @@ type testCluster struct {
 
 func startTestCluster(t *testing.T, n int, clientCfg ClientConfig) *testCluster {
 	t.Helper()
+	return startTestClusterExec(t, n, clientCfg, planExecutor)
+}
+
+// startTestClusterExec is startTestCluster with every node's executor,
+// and every client's default local executor, built by mkExec over its
+// own plan cache.
+func startTestClusterExec(t *testing.T, n int, clientCfg ClientConfig, mkExec func(*plancache.Cache) Executor) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < n; i++ {
-		cache := plancache.New(32)
-		node, err := Listen("127.0.0.1:0", NodeConfig{Exec: planExecutor(cache)})
+		node, err := Listen("127.0.0.1:0", NodeConfig{Exec: mkExec(plancache.New(32))})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -79,7 +86,7 @@ func startTestCluster(t *testing.T, n int, clientCfg ClientConfig) *testCluster 
 		cfg := clientCfg
 		cfg.Self = tc.addrs[i]
 		if cfg.Local == nil {
-			cfg.Local = planExecutor(plancache.New(32))
+			cfg.Local = mkExec(plancache.New(32))
 		}
 		client, err := NewClient(reg, cfg)
 		if err != nil {

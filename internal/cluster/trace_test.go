@@ -324,11 +324,25 @@ func TestClusterAssembledTraceFailover(t *testing.T) {
 // counters stay consistent: every hedged attempt resolves to exactly
 // one of won, lost or canceled.
 func TestHedgeOutcomeCounters(t *testing.T) {
-	tc := startTestCluster(t, 3, ClientConfig{
+	// Every executor, local or remote, stalls well past HedgeDelay, so
+	// each routed transform's primary is still running when the hedge
+	// timer fires: the race happens however fast the machine is.
+	stalled := func(cache *plancache.Cache) Executor {
+		exec := planExecutor(cache)
+		return func(ctx context.Context, op *wire.TransformOp) ([]complex128, error) {
+			select {
+			case <-time.After(5 * time.Millisecond):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return exec(ctx, op)
+		}
+	}
+	tc := startTestClusterExec(t, 3, ClientConfig{
 		HedgeDelay:  1 * time.Millisecond, // hedge aggressively
 		RPCTimeout:  2 * time.Second,
 		BackoffBase: 2 * time.Millisecond,
-	})
+	}, stalled)
 	client := tc.clients[0]
 	for i, op := range batchSpecs() {
 		if _, err := client.Transform(context.Background(), op); err != nil {
@@ -349,7 +363,7 @@ func TestHedgeOutcomeCounters(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if m.Hedged == 0 {
-		t.Skip("no hedge fired; timing too fast on this machine")
+		t.Fatal("no hedge fired although every executor stalls past HedgeDelay")
 	}
 	total := m.HedgeWon + m.HedgeLost + m.HedgeCanceled
 	if total != m.Hedged {

@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -43,12 +43,19 @@ func toComplexInto(dst []complex128, pairs []Complex) {
 	}
 }
 
-func fromComplex(xs []complex128) []Complex {
+// fromComplex converts a transform's output to its wire form. JSON has
+// no form for ±Inf or NaN, and finite input can overflow float64 only by
+// being too large, so an output that is not finite fails with a 400.
+func fromComplex(xs []complex128) ([]Complex, error) {
 	out := make([]Complex, len(xs))
 	for i, x := range xs {
-		out[i] = Complex{real(x), imag(x)}
+		re, im := real(x), imag(x)
+		if math.IsInf(re, 0) || math.IsNaN(re) || math.IsInf(im, 0) || math.IsNaN(im) {
+			return nil, badRequest("output sample %d overflows float64", i)
+		}
+		out[i] = Complex{re, im}
 	}
-	return out
+	return out, nil
 }
 
 // TransformSpec is one transform of a /v1/fft request. Exactly one of
@@ -217,11 +224,7 @@ func (s *Server) runTransform(ctx context.Context, spec TransformSpec) (Transfor
 		defer putXBuf(b)
 		toComplexInto(b.in[:h], spec.RealInverse)
 		op := wire.TransformOp{Real: true, Inverse: true, Input: b.in[:h]}
-		out, err := s.dispatchOp(ctx, &op, b.out)
-		if err != nil {
-			return TransformResult{}, err
-		}
-		return TransformResult{N: n, Output: fromComplex(out)}, nil
+		return s.transformResult(ctx, &op, n, b.out)
 	case len(spec.RealInput) > 0:
 		if spec.Inverse {
 			return TransformResult{}, badRequest("real_input with inverse is invalid: a real inverse takes the half-spectrum, not samples — pass the n/2+1 bins as real_inverse")
@@ -236,11 +239,7 @@ func (s *Server) runTransform(ctx context.Context, spec TransformSpec) (Transfor
 		b := getXBuf(n)
 		defer putXBuf(b)
 		op := wire.TransformOp{Real: true, RealInput: spec.RealInput}
-		out, err := s.dispatchOp(ctx, &op, b.out)
-		if err != nil {
-			return TransformResult{}, err
-		}
-		return TransformResult{N: n, Output: fromComplex(out)}, nil
+		return s.transformResult(ctx, &op, n, b.out)
 	case len(spec.Input) > 0:
 		if spec.Inverse && spec.NoReorder {
 			return TransformResult{}, badRequest("inverse and no_reorder are mutually exclusive")
@@ -255,14 +254,23 @@ func (s *Server) runTransform(ctx context.Context, spec TransformSpec) (Transfor
 		defer putXBuf(b)
 		toComplexInto(b.in, spec.Input)
 		op := wire.TransformOp{Inverse: spec.Inverse, NoReorder: spec.NoReorder, Input: b.in}
-		out, err := s.dispatchOp(ctx, &op, b.out)
-		if err != nil {
-			return TransformResult{}, err
-		}
-		return TransformResult{N: n, Output: fromComplex(out)}, nil
+		return s.transformResult(ctx, &op, n, b.out)
 	default:
 		return TransformResult{}, badRequest("transform has no input or real_input")
 	}
+}
+
+// transformResult runs op through dispatchOp and renders its output.
+func (s *Server) transformResult(ctx context.Context, op *wire.TransformOp, n int, dst []complex128) (TransformResult, error) {
+	out, err := s.dispatchOp(ctx, op, dst)
+	if err != nil {
+		return TransformResult{}, err
+	}
+	samples, err := fromComplex(out)
+	if err != nil {
+		return TransformResult{}, err
+	}
+	return TransformResult{N: n, Output: samples}, nil
 }
 
 // dispatchOp routes one op: through the cluster client when installed
@@ -301,10 +309,13 @@ func (s *Server) checkLen(n int) error {
 
 // handleFFT serves single and batch transforms. Each transform of a
 // batch is an independent worker-pool job, so a batch fans out across
-// the pool and large batches get the pool's backpressure.
+// the pool and large batches get the pool's backpressure. The body is
+// decoded and the response encoded by the sample codec (codec.go).
 func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
+	c := getFFTCodec()
 	var req FFTRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := c.decodeRequest(w, r.Body, s.maxBodyBytes(), &req); err != nil {
+		putFFTCodec(c)
 		writeError(w, err)
 		return
 	}
@@ -314,6 +325,7 @@ func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 		specs = []TransformSpec{req.TransformSpec}
 	}
 	if len(specs) > s.cfg.MaxBatch {
+		putFFTCodec(c)
 		writeError(w, badRequest("batch of %d exceeds limit %d", len(specs), s.cfg.MaxBatch))
 		return
 	}
@@ -340,7 +352,9 @@ func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	// Pool-level failures (drain, timeout, worker panic) fail the whole
-	// request: the batch result would otherwise silently hold holes.
+	// request: the batch result would otherwise silently hold holes. A
+	// job whose wait ended on the request context may still run and read
+	// the decoded samples, so c is left to the garbage collector.
 	for _, err := range errs {
 		if err != nil {
 			if errors.Is(err, ErrDraining) {
@@ -350,7 +364,15 @@ func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, FFTResponse{Batch: len(specs), Results: results})
+	defer putFFTCodec(c)
+	body, err := appendFFTResponse(c.buf[:0], &FFTResponse{Batch: len(specs), Results: results})
+	c.buf = body
+	if err != nil {
+		writeError(w, fmt.Errorf("encode response: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body) // the route's statusRecorder: cannot fail
 }
 
 // ---- /v1/simulate ----
@@ -591,8 +613,8 @@ func (s *Server) runSimulation(ctx context.Context, req SimulateRequest) (*Simul
 // on the worker pool under the request deadline.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest("decode: %v", err))
+	if err := decodeBody(w, r, maxSimulateBodyBytes, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	req, key := req.normalize()
@@ -743,11 +765,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // liveness — a draining process is alive but not ready.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(HealthResponse{Status: "draining"})
+		writeJSONStatus(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 		return
 	}
 	writeJSON(w, HealthResponse{Status: "ready"})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -239,6 +240,45 @@ func TestSampledTraceCapture(t *testing.T) {
 	}
 	if !sawTransform {
 		t.Error("no transform span in sampled capture")
+	}
+}
+
+// TestTelemetryVisibleOnResponse: once a client has a response's
+// headers, the request is already counted in /metrics and captured in
+// /v1/debug/slow. The response body is far larger than net/http's write
+// buffers, so its headers reach the client while the handler is still
+// running; telemetry recorded after the write would lose this race.
+func TestTelemetryVisibleOnResponse(t *testing.T) {
+	_, ts := newTestServer(t, Config{TraceSampleEvery: 1})
+	body, err := json.Marshal(FFTRequest{TransformSpec: TransformSpec{
+		Input: randComplexInput(rand.New(rand.NewSource(5)), 4096),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 10; i++ {
+		resp := postBody(t, ts.URL+"/v1/fft", string(body))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		id := resp.Header.Get("X-Request-ID")
+
+		r, err := testClient.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := decode[Snapshot](t, r).Requests["POST /v1/fft"]; n != int64(i) {
+			t.Fatalf("after response %d, /metrics counts %d fft requests", i, n)
+		}
+		r, err = testClient.Get(ts.URL + "/v1/debug/slow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow := decode[SlowTraces](t, r)
+		if len(slow.Traces) == 0 || slow.Traces[0].RequestID != id {
+			t.Fatalf("after response %d, /v1/debug/slow does not lead with request %s", i, id)
+		}
 	}
 }
 

@@ -87,7 +87,7 @@ func (s *Server) pencilWorkers(ctx context.Context) []string {
 // process), so it gets the pool's backpressure like any transform.
 func (s *Server) handleFFT2D(w http.ResponseWriter, r *http.Request) {
 	var req FFT2DRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := decodeBody(w, r, s.maxBodyBytes(), &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -149,6 +149,11 @@ func (s *Server) handleFFT2D(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
+		samples, err := fromComplex(out)
+		if err != nil {
+			runErr = err
+			return
+		}
 		resp = &FFT2DResponse{
 			Rows:              req.Rows,
 			Cols:              req.Cols,
@@ -162,7 +167,7 @@ func (s *Server) handleFFT2D(w http.ResponseWriter, r *http.Request) {
 			WireBytesRecv:     stats.WireBytesRecv,
 			CommFloorBytes:    stats.CommFloorBytes,
 			CommRooflineRatio: stats.RooflineRatio,
-			Output:            fromComplex(out),
+			Output:            samples,
 		}
 	})
 	if poolErr != nil {

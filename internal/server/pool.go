@@ -99,12 +99,15 @@ func (p *workerPool) do(ctx context.Context, fn func()) error {
 		p.mu.RUnlock()
 		return ErrDraining
 	}
+	// Count the job as queued before a worker can take it (and count it
+	// out), so queue_depth never reads below zero.
+	p.queued.Add(1)
 	select {
 	case p.jobs <- j:
-		p.queued.Add(1)
 		p.submitted.Add(1)
 		p.mu.RUnlock()
 	default:
+		p.queued.Add(-1)
 		p.mu.RUnlock()
 		p.rejected.Add(1)
 		return ErrSaturated

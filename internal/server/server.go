@@ -15,14 +15,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -264,13 +268,20 @@ func (s *Server) maxBodyBytes() int64 {
 	return int64(s.cfg.MaxTransformLen)*64 + 64<<10
 }
 
-// decodeBody decodes a JSON request body capped by maxBodyBytes. A body
-// over the cap maps to 413 Request Entity Too Large; malformed JSON
-// (including a body truncated by the cap mid-token on some paths) stays
-// a 400.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes())
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// maxSimulateBodyBytes bounds a /v1/simulate body. A simulation request
+// is a handful of scalars; 64 KiB leaves ample room for whitespace.
+const maxSimulateBodyBytes = 64 << 10
+
+// decodeBody decodes a JSON request body capped at limit bytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	return decodeJSON(http.MaxBytesReader(w, r.Body, limit), v)
+}
+
+// decodeJSON decodes one JSON value from a capped body. A body over the
+// cap maps to 413 Request Entity Too Large; malformed JSON (including a
+// body truncated by the cap mid-token on some paths) stays a 400.
+func decodeJSON(body io.Reader, v any) error {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return &statusError{
@@ -311,29 +322,83 @@ func httpStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// statusRecorder captures the status a handler wrote, for metrics.
+// statusRecorder holds a handler's status and body until the route
+// middleware has recorded the request's telemetry, so that by the time
+// a client has its response, /metrics and /v1/debug/slow already show
+// the request. Headers go straight into the underlying writer's map;
+// nothing reaches the client before send.
 type statusRecorder struct {
-	http.ResponseWriter
-	status int
+	w           http.ResponseWriter
+	status      int
+	wroteHeader bool
+	body        *bytes.Buffer // pooled; nil until the first Write
 }
 
+func (r *statusRecorder) Header() http.Header { return r.w.Header() }
+
 func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
+	if !r.wroteHeader {
+		r.status, r.wroteHeader = code, true
+	}
+}
+
+func (r *statusRecorder) Write(p []byte) (int, error) {
+	r.WriteHeader(http.StatusOK)
+	if r.body == nil {
+		r.body = getBuffer()
+	}
+	return r.body.Write(p)
+}
+
+// reset discards what the handler wrote.
+func (r *statusRecorder) reset() {
+	r.status, r.wroteHeader = http.StatusOK, false
+	if r.body != nil {
+		r.body.Reset()
+	}
+}
+
+// send writes the held response to the client and releases the body.
+func (r *statusRecorder) send() {
+	var body []byte
+	if r.body != nil {
+		body = r.body.Bytes()
+	}
+	r.w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	r.w.WriteHeader(r.status)
+	// A failed write means the client has gone; there is no one left to
+	// tell.
+	_, _ = r.w.Write(body)
+	if r.body != nil {
+		putBuffer(r.body)
+		r.body = nil
+	}
+}
+
+var bufferPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuffer() *bytes.Buffer {
+	b := bufferPool.Get().(*bytes.Buffer)
+	return b
+}
+
+func putBuffer(b *bytes.Buffer) {
+	b.Reset()
+	bufferPool.Put(b)
 }
 
 // route mounts a handler wrapped in the service middleware: request
 // IDs, request counting, latency observation, per-request timeout,
 // structured logging, span tracing with slow-trace capture (traceable
-// routes only), and panic recovery (a handler panic — as opposed to a
-// worker panic, which the pool converts — also becomes a 500, not a
-// dead connection without a response line).
+// routes only), and panic recovery. The handler's response is held
+// until the metric and the slow trace are recorded, then sent; the log
+// line, which the client does not need, comes last.
 func (s *Server) route(pattern string, h http.HandlerFunc, traceable bool) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := s.rids.next()
 		w.Header().Set("X-Request-ID", id)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := &statusRecorder{w: w, status: http.StatusOK}
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 
@@ -356,91 +421,116 @@ func (s *Server) route(pattern string, h http.HandlerFunc, traceable bool) {
 				ctx = obs.WithSpan(ctx, root)
 			}
 		}
-		r = r.WithContext(ctx)
-		defer func() {
-			if p := recover(); p != nil {
-				if rec.status == http.StatusOK {
-					writeError(rec, fmt.Errorf("handler panic: %v", p))
+		serveRecovered(h, rec, r.WithContext(ctx))
+
+		elapsed := time.Since(start)
+		s.metrics.observe(pattern, rec.status, elapsed)
+		var ro obs.Rollup
+		if tr != nil {
+			root.End()
+			spans := tr.Snapshot()
+			ro = obs.RollupOf(spans)
+			if sampled || (s.cfg.SlowThreshold > 0 && elapsed >= s.cfg.SlowThreshold) {
+				ct := CapturedTrace{
+					RequestID:     id,
+					Route:         pattern,
+					Status:        rec.status,
+					Start:         start,
+					DurationMS:    float64(elapsed) / float64(time.Millisecond),
+					Sampled:       sampled,
+					WireBytesSent: ro.BytesSent,
+					WireBytesRecv: ro.BytesRecv,
+					RemoteSpans:   ro.RemoteSpans,
+					Spans:         spans,
 				}
+				if tid := tr.TraceID(); tid != 0 {
+					ct.TraceID = fmt.Sprintf("%016x", tid)
+				}
+				s.slow.add(ct)
+				s.metrics.slowCaptured.Add(1)
 			}
-			elapsed := time.Since(start)
-			s.metrics.observe(pattern, rec.status, elapsed)
-			var ro obs.Rollup
+		}
+		rec.send()
+
+		if l := s.cfg.Logger; l != nil {
+			// One record per request. Traced requests widen it into the
+			// canonical "wide event": the whole request story — stage
+			// timings by span category, wire byte counts, remote span
+			// count, trace ID — on a single queryable line.
+			attrs := []slog.Attr{
+				slog.String("id", id),
+				slog.String("route", pattern),
+				slog.Int("status", rec.status),
+				slog.Duration("elapsed", elapsed),
+			}
 			if tr != nil {
-				root.End()
-				spans := tr.Snapshot()
-				ro = obs.RollupOf(spans)
-				if sampled || (s.cfg.SlowThreshold > 0 && elapsed >= s.cfg.SlowThreshold) {
-					ct := CapturedTrace{
-						RequestID:     id,
-						Route:         pattern,
-						Status:        rec.status,
-						Start:         start,
-						DurationMS:    float64(elapsed) / float64(time.Millisecond),
-						Sampled:       sampled,
-						WireBytesSent: ro.BytesSent,
-						WireBytesRecv: ro.BytesRecv,
-						RemoteSpans:   ro.RemoteSpans,
-						Spans:         spans,
-					}
-					if tid := tr.TraceID(); tid != 0 {
-						ct.TraceID = fmt.Sprintf("%016x", tid)
-					}
-					s.slow.add(ct)
-					s.metrics.slowCaptured.Add(1)
+				if tid := tr.TraceID(); tid != 0 {
+					attrs = append(attrs, slog.String("trace_id", fmt.Sprintf("%016x", tid)))
 				}
+				attrs = append(attrs,
+					slog.Int("spans", ro.Spans),
+					slog.Int("remote_spans", ro.RemoteSpans),
+					slog.Int64("wire_bytes_sent", ro.BytesSent),
+					slog.Int64("wire_bytes_recv", ro.BytesRecv),
+				)
+				if ro.Steps > 0 {
+					attrs = append(attrs, slog.Int("steps", ro.Steps))
+				}
+				cats := make([]string, 0, len(ro.StageNs))
+				for cat := range ro.StageNs {
+					cats = append(cats, cat)
+				}
+				sort.Strings(cats)
+				stages := make([]any, 0, len(cats))
+				for _, cat := range cats {
+					stages = append(stages, slog.Float64(cat, float64(ro.StageNs[cat])/1e6))
+				}
+				attrs = append(attrs, slog.Group("stage_ms", stages...))
 			}
-			if l := s.cfg.Logger; l != nil {
-				// One record per request. Traced requests widen it into the
-				// canonical "wide event": the whole request story — stage
-				// timings by span category, wire byte counts, remote span
-				// count, trace ID — on a single queryable line.
-				attrs := []slog.Attr{
-					slog.String("id", id),
-					slog.String("route", pattern),
-					slog.Int("status", rec.status),
-					slog.Duration("elapsed", elapsed),
-				}
-				if tr != nil {
-					if tid := tr.TraceID(); tid != 0 {
-						attrs = append(attrs, slog.String("trace_id", fmt.Sprintf("%016x", tid)))
-					}
-					attrs = append(attrs,
-						slog.Int("spans", ro.Spans),
-						slog.Int("remote_spans", ro.RemoteSpans),
-						slog.Int64("wire_bytes_sent", ro.BytesSent),
-						slog.Int64("wire_bytes_recv", ro.BytesRecv),
-					)
-					if ro.Steps > 0 {
-						attrs = append(attrs, slog.Int("steps", ro.Steps))
-					}
-					cats := make([]string, 0, len(ro.StageNs))
-					for cat := range ro.StageNs {
-						cats = append(cats, cat)
-					}
-					sort.Strings(cats)
-					stages := make([]any, 0, len(cats))
-					for _, cat := range cats {
-						stages = append(stages, slog.Float64(cat, float64(ro.StageNs[cat])/1e6))
-					}
-					attrs = append(attrs, slog.Group("stage_ms", stages...))
-				}
-				l.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
-			}
-		}()
-		h(rec, r)
+			l.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
+		}
 	})
 }
 
-// writeJSON renders v with status 200.
+// serveRecovered runs h. A handler panic (as opposed to a worker panic,
+// which the pool converts) replaces whatever h wrote with a 500, rather
+// than leaving a dead connection without a response line.
+func serveRecovered(h http.HandlerFunc, rec *statusRecorder, r *http.Request) {
+	defer func() {
+		if p := recover(); p != nil {
+			rec.reset()
+			writeError(rec, fmt.Errorf("handler panic: %v", p))
+		}
+	}()
+	h(rec, r)
+}
+
+// writeJSON renders v as compact JSON with status 200.
 func writeJSON(w http.ResponseWriter, v any) {
+	writeJSONStatus(w, http.StatusOK, v)
+}
+
+// writeJSONStatus renders v as compact JSON with the given status.
+// json.Encoder marshals v whole before its one Write, and the status
+// goes out with that Write, so a value encoding/json refuses (a
+// non-finite float) has written nothing and becomes a 500 with an error
+// body, not a 200 without one.
+func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Headers are already out; nothing useful left to do.
-		return
+	if err := json.NewEncoder(statusWriter{w, status}).Encode(v); err != nil {
+		writeError(w, fmt.Errorf("encode response: %w", err))
 	}
+}
+
+// statusWriter writes its status just before the body.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w statusWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(w.status)
+	return w.ResponseWriter.Write(p)
 }
 
 // errorBody is the uniform error response shape.
@@ -459,12 +549,8 @@ const retryAfterSeconds = "1"
 // off instead of hammering a full queue.
 func writeError(w http.ResponseWriter, err error) {
 	status := httpStatus(err)
-	w.Header().Set("Content-Type", "application/json")
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(errorBody{Error: err.Error(), Status: status})
+	writeJSONStatus(w, status, errorBody{Error: err.Error(), Status: status})
 }

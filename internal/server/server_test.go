@@ -136,13 +136,20 @@ func TestHTTPSaturationReturns429(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	block := make(chan struct{})
 	defer close(block)
-	// Pin the worker, then the queue slot.
-	for i := 0; i < 2; i++ {
+	// Pin the worker, then the queue slot. One at a time: a second job
+	// submitted while the first still sits in the one-slot queue would be
+	// rejected, and the slot would never fill.
+	pin := func(ready func(poolStats) bool) {
 		go func() { _ = s.pool.do(context.Background(), func() { <-block }) }()
+		for deadline := time.Now().Add(10 * time.Second); !ready(s.pool.stats()); {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool never pinned: %+v", s.pool.stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	for s.pool.stats().Active == 0 || s.pool.stats().Queued == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	pin(func(st poolStats) bool { return st.Active == 1 })
+	pin(func(st poolStats) bool { return st.Queued == 1 })
 
 	resp := postJSON(t, ts.URL+"/v1/fft", FFTRequest{
 		TransformSpec: TransformSpec{Input: []Complex{{1, 0}, {0, 0}, {0, 0}, {0, 0}}},
