@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet lint test race test-race cover bench bench-compare bench-baseline alloc-baseline alloc-compare gobench fuzz vuln repro serve profile trace metrics-lint cluster-metrics-lint cluster-test pencil-test perf-test cluster-demo load-smoke load-baseline load-compare examples clean
+.PHONY: all verify build vet lint test race test-race cover bench bench-compare bench-baseline alloc-baseline alloc-compare gobench fuzz vuln repro serve profile trace metrics-lint cluster-metrics-lint cluster-test pencil-test pencil-stress perf-test cluster-demo load-smoke load-baseline load-compare examples clean
 
 all: verify
 
@@ -57,14 +57,27 @@ profile:
 cluster-test:
 	$(GO) test -race -run 'Cluster|Ring|Breaker|Registry|Readyz' -count=1 ./internal/cluster/... ./internal/server/
 
+PENCIL_PKGS = ./internal/pencil/... ./internal/cluster/wire/
+PENCIL_SERVE_PKGS = ./internal/cluster ./internal/server/ ./internal/load/
+PENCIL_SERVE_RUN = 'Pencil|FFT2D|RequestBodyLimit'
+
 # pencil-test runs the distributed 2D/3D pencil FFT suites under the
 # race detector: the coordinator/worker unit tests, the 3-node
 # real-TCP bit-identity + mid-transpose node-kill tests, and the
 # /v1/fft2d serving tests. Mirrors the CI pencil job
 # (docs/PENCIL.md).
 pencil-test:
-	$(GO) test -race -count=1 ./internal/pencil/... ./internal/cluster/wire/
-	$(GO) test -race -count=1 -run 'Pencil|FFT2D|RequestBodyLimit' ./internal/cluster ./internal/server/ ./internal/load/
+	$(GO) test -race -count=1 $(PENCIL_PKGS)
+	$(GO) test -race -count=1 -run $(PENCIL_SERVE_RUN) $(PENCIL_SERVE_PKGS)
+
+# pencil-stress is pencil-test fifty times over: the same packages and
+# filter under the race detector, hunting ordering bugs in the
+# coordinator's per-band fan-out, the workers and the /v1/fft2d path.
+# It stays within the pencil suites so the cluster failover flake
+# (ROADMAP item 7) cannot fail it. Mirrors the nightly pencil-stress job.
+pencil-stress:
+	$(GO) test -race -count=50 $(PENCIL_PKGS)
+	$(GO) test -race -count=50 -run $(PENCIL_SERVE_RUN) $(PENCIL_SERVE_PKGS)
 
 # perf-test vets and tests the fftperf benchmark (cmd/fftperf/README.md).
 # It is a nested module, so the root `go build ./...` and `go test ./...`

@@ -29,7 +29,10 @@ type PencilExecutor interface {
 // every op after Open is bound to band state on one specific peer, so
 // re-sending elsewhere cannot succeed. A transport failure is reported
 // to the registry (fast-failure path) and surfaced to the coordinator,
-// which aborts the run cleanly.
+// which aborts the run cleanly. A call that failed because the caller
+// canceled it is not the peer's fault and is not reported: the
+// coordinator cancels a stage's sibling calls when one peer fails, and
+// counting those would mark healthy peers failed.
 type PencilTransport struct {
 	Client *Client
 	Self   string
@@ -51,7 +54,9 @@ func (t *PencilTransport) Call(ctx context.Context, peer string, req, resp *wire
 		// Capability unknown (first contact before any heartbeat): one
 		// pooled ping doubles as the version handshake.
 		if _, err := c.Ping(ctx, peer); err != nil {
-			c.reg.ReportFailure(peer, err)
+			if ctx.Err() == nil {
+				c.reg.ReportFailure(peer, err)
+			}
 			return 0, 0, fmt.Errorf("cluster: pencil handshake with %s: %w", peer, err)
 		}
 	}
@@ -61,7 +66,9 @@ func (t *PencilTransport) Call(ctx context.Context, peer string, req, resp *wire
 	p := c.pool(peer)
 	pc, err := p.get(ctx)
 	if err != nil {
-		c.reg.ReportFailure(peer, err)
+		if ctx.Err() == nil {
+			c.reg.ReportFailure(peer, err)
+		}
 		return 0, 0, fmt.Errorf("cluster: peer %s: %w", peer, err)
 	}
 	id := c.nextID()
@@ -77,8 +84,10 @@ func (t *PencilTransport) Call(ctx context.Context, peer string, req, resp *wire
 	h, payload, err := pc.roundTrip(ctx, c.cfg.RPCTimeout, pc.wbuf)
 	if err != nil {
 		pc.close()
-		c.breaker(peer).record(false)
-		c.reg.ReportFailure(peer, err)
+		if ctx.Err() == nil {
+			c.breaker(peer).record(false)
+			c.reg.ReportFailure(peer, err)
+		}
 		return 0, 0, fmt.Errorf("cluster: peer %s: %w", peer, err)
 	}
 	if h.Type != wire.TypePencilResp || h.ID != id {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -140,30 +141,45 @@ type killerTransport struct {
 	inner    pencil.Transport
 	victim   string
 	node     *Node
-	deposits atomic.Int64
+	deposits atomic.Int64 // deposit calls to the victim
 	once     sync.Once
+
+	completed atomic.Int64 // deposits that succeeded, on any peer
+	landedAt  atomic.Int64 // completed deposits when the victim died; -1 until then
 }
 
 func (k *killerTransport) Call(ctx context.Context, peer string, req, resp *wire.PencilOp) (int64, int64, error) {
 	if peer == k.victim && req.Sub == wire.PencilDeposit && k.deposits.Add(1) > 2 {
-		k.once.Do(func() { _ = k.node.Close() })
+		k.once.Do(func() {
+			k.landedAt.Store(k.completed.Load())
+			_ = k.node.Close()
+		})
 	}
-	return k.inner.Call(ctx, peer, req, resp)
+	sent, recv, err := k.inner.Call(ctx, peer, req, resp)
+	if err == nil && req.Sub == wire.PencilDeposit {
+		k.completed.Add(1)
+	}
+	return sent, recv, err
 }
 
 // TestPencilClusterNodeKillTCP kills a real TCP node mid-transpose: the
-// run must fail with a clean error naming the peer, must not hang, and
-// must not have written a single shard to the sink.
+// run must fail with a clean error naming the peer, must not hang, must
+// not have written a single shard to the sink, and must not leave a
+// goroutine behind. The healthy peer stays healthy: the coordinator
+// cancels its in-flight calls when the victim fails, and a canceled
+// call must not count against it in the registry.
 func TestPencilClusterNodeKillTCP(t *testing.T) {
 	tc, workers := startPencilCluster(t, 3, nil)
 	base := &PencilTransport{Client: tc.clients[0], Self: tc.addrs[0], Local: workers[0]}
-	victim := tc.addrs[1]
+	victim, healthy := tc.addrs[1], tc.addrs[2]
 	transport := &killerTransport{inner: base, victim: victim, node: tc.nodes[1]}
+	transport.landedAt.Store(-1)
 
 	rows, cols := 32, 32
 	in := randComplexT(rows*cols, 7)
 	sink := &countingPencilSink{inner: pencil.SliceSink{Data: make([]complex128, len(in)), Cols: cols}}
 
+	before := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() {
 		_, err := pencil.Run(context.Background(), pencil.Config{
@@ -187,6 +203,94 @@ func TestPencilClusterNodeKillTCP(t *testing.T) {
 	}
 	if n := sink.writes.Load(); n != 0 {
 		t.Fatalf("failed run wrote %d shards to the sink; want none", n)
+	}
+	if at := transport.landedAt.Load(); at < 1 {
+		t.Fatalf("victim died after %d completed deposits; want the kill to land after the first deposit", at)
+	}
+	for _, p := range tc.regs[0].Peers() {
+		if p.ID == healthy && (p.ConsecFails != 0 || !p.InRing) {
+			t.Fatalf("healthy peer after the kill: %+v; want no failures and still in the ring", p)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// stallPencil stands in for a slow peer: every sub-operation blocks
+// until released, signalling entered first.
+type stallPencil struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s stallPencil) ServePencil(ctx context.Context, op, resp *wire.PencilOp) error {
+	s.entered <- struct{}{}
+	select {
+	case <-s.release:
+	case <-ctx.Done():
+	}
+	return nil
+}
+
+// TestPencilCanceledCallKeepsPeerHealthy — a call its caller canceled
+// says nothing about the peer, so it must neither trip the breaker nor
+// count as a registry failure.
+func TestPencilCanceledCallKeepsPeerHealthy(t *testing.T) {
+	stall := stallPencil{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	node, err := Listen("127.0.0.1:0", NodeConfig{
+		Exec:   planExecutor(plancache.New(4)),
+		Pencil: stall,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	defer close(stall.release)
+	reg := NewRegistry("coordinator", []string{node.Addr()}, RegistryConfig{FailThreshold: 2})
+	client, err := NewClient(reg, ClientConfig{
+		Self:  "coordinator",
+		Local: planExecutor(plancache.New(4)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	transport := &PencilTransport{Client: client, Self: "coordinator"}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		op := &wire.PencilOp{Sub: wire.PencilOpen, Dims: 2, Rows: 4, Cols: 4, ColN: 2, Job: 11}
+		var resp wire.PencilOp
+		_, _, err := transport.Call(ctx, node.Addr(), op, &resp)
+		done <- err
+	}()
+	select {
+	case <-stall.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the call never reached the peer")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("canceled call succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("canceled call did not return")
+	}
+	for _, p := range reg.Peers() {
+		if p.ConsecFails != 0 || !p.InRing {
+			t.Fatalf("peer after a canceled call: %+v; want no failures and still in the ring", p)
+		}
+	}
+	if st := client.breaker(node.Addr()).state(); st != "closed" {
+		t.Fatalf("breaker %s after a canceled call; want closed", st)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,7 +53,8 @@ func (s Shape) validate() error {
 }
 
 // Source streams the input: ReadRows fills dst (n*Cols samples) with
-// row-major rows [rowLo, rowLo+n). Out-of-core runs call it more than
+// row-major rows [rowLo, rowLo+n). A run calls it from one goroutine,
+// in row order within each wave. Out-of-core runs call it more than
 // once per row range — a Source must be re-readable.
 type Source interface {
 	ReadRows(rowLo, n int, dst []complex128) error
@@ -60,12 +62,17 @@ type Source interface {
 
 // Sink receives the output: WriteBand stores the nrows x ncols
 // row-major shard covering rows [rowLo, rowLo+nrows) of columns
-// [colLo, colLo+ncols). The coordinator never writes the same cell
-// twice within one attempt, and never interleaves partial new data
-// into a cell: writes for a wave start only after the whole wave
-// succeeded, and a run re-planned after a peer capacity rejection
-// (Stats.CapRetries) rewrites cells from the abandoned attempt with
-// identical values.
+// [colLo, colLo+ncols). data is valid only for the duration of the
+// call: the coordinator reads the next shard into the same memory, so a
+// Sink must copy what it keeps. The bands of a wave are gathered at
+// once, but the coordinator serializes their WriteBand calls, so a Sink
+// need not be safe for concurrent use; the calls of different bands
+// interleave in no fixed order. The coordinator never writes the same
+// cell twice within one attempt, and never interleaves partial new data
+// into a cell: writes for a wave start only after every column FFT of
+// the wave succeeded, and a run re-planned after a peer capacity
+// rejection (Stats.CapRetries) rewrites cells from the abandoned
+// attempt with identical values.
 type Sink interface {
 	WriteBand(rowLo, nrows, colLo, ncols int, data []complex128) error
 }
@@ -122,8 +129,11 @@ type Config struct {
 	// Transport delivers the sub-operations.
 	Transport Transport
 	// MemCap bounds per-node band memory and the coordinator's own
-	// streaming buffers. 0 means DefaultMemCap. Datasets larger than
-	// the cap run out of core (see package comment).
+	// streaming buffers: its row chunk and its band staging each stay
+	// within half the cap, and every answer decodes into one of them —
+	// row answers into the chunk, gather reads into the staging. 0 means
+	// DefaultMemCap. Datasets larger than the cap run out of core (see
+	// package comment).
 	MemCap int64
 	// Metrics, when non-nil, accumulates run counters.
 	Metrics *Metrics
@@ -167,16 +177,24 @@ type run struct {
 	bands     int
 	waves     int
 
-	chunk []complex128 // chunkRows x cols streaming buffer
-	shard []complex128 // chunkRows x bandCols transpose shard
+	chunk []complex128 // chunkRows x cols row-stage buffer
+	stage []complex128 // deposit and gather staging for every band of a wave
+	// rowSlot carries the serial row stage's calls; slots[i] carries
+	// band i's calls in every stage of a wave, so one goroutine owns each
+	// at a time. Answers with samples decode into chunk or stage, so the
+	// slots hold no buffers of their own.
+	rowSlot slot
+	slots   []slot
 
-	span  *obs.Span // run root; nil when untraced
+	mu    sync.Mutex // guards stats: band stages call from many goroutines
 	stats Stats
 }
 
 // Run executes one distributed pencil FFT: src streams in row-major,
-// the transformed array streams out through sink. On error nothing has
-// been written to sink and every reachable worker band has been closed.
+// the transformed array streams out through sink. On error every
+// reachable band of the failed wave has been closed, and that wave has
+// written to sink only if its failure came after every column FFT
+// succeeded (see execute).
 func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) {
 	if err := cfg.Shape.validate(); err != nil {
 		return Stats{}, err
@@ -238,7 +256,6 @@ func (r *run) runOnce(ctx context.Context, src Source, sink Sink) error {
 		SetDetail(fmt.Sprintf("shape=%dx%d dims=%d workers=%d bands=%d waves=%d retries=%d",
 			r.rows, r.cols, r.cfg.Shape.Dims(), len(r.cfg.Workers), r.bands, r.waves, r.stats.CapRetries))
 	defer sp.End()
-	r.span = sp
 	ctx = obs.WithSpan(ctx, sp)
 	if err := r.execute(ctx, src, sink); err != nil {
 		sp.SetDetail("error: " + err.Error())
@@ -253,6 +270,19 @@ func (r *run) runOnce(ctx context.Context, src Source, sink Sink) error {
 		float64(r.stats.WireBytesSent+r.stats.WireBytesRecv),
 		float64(r.stats.CommFloorBytes))
 	return nil
+}
+
+// fitRows returns how many rows of width w fit both the coordinator's
+// streaming budget — half the memory cap — and one wire frame. Every
+// transfer the coordinator makes is sized by it: row chunks (w = cols),
+// and deposits and gather reads, which share one staging buffer
+// (w = a wave's summed band widths).
+func fitRows(memCap int64, w int) int {
+	n := memCap / 16 / 2 / int64(w)
+	if frame := int64((wire.MaxPayload - wire.PencilHdrSize) / (16 * w)); n > frame {
+		n = frame
+	}
+	return int(n)
 }
 
 // plan sizes the schedule against the memory cap and the wire's
@@ -277,19 +307,12 @@ func plan(cfg Config, maxBandCols int) (*run, error) {
 		return nil, fmt.Errorf("pencil: cap %d cannot hold one %d-row column band", cfg.MemCap, rows)
 	}
 
-	// The coordinator streams chunkRows full rows at a time; its chunk
-	// buffer and transpose shard each stay under half the cap, and one
-	// chunk must fit a wire frame.
-	chunkRows := int(cap16 / 2 / int64(cols))
-	if maxFrame := (wire.MaxPayload - wire.PencilHdrSize) / (16 * cols); chunkRows > maxFrame {
-		chunkRows = maxFrame
-	}
-	if chunkRows > rows {
-		chunkRows = rows
-	}
-	// A 3D "row" is a whole x-plane and is never split mid-plane — the
-	// flattened view already makes each row one plane, so chunking at
-	// row granularity preserves plane alignment.
+	// The coordinator streams chunkRows full rows at a time. A chunk
+	// never spans two slabs, so it is never taller than the tallest
+	// (first) slab. A 3D "row" is a whole x-plane and is never split
+	// mid-plane — the flattened view already makes each row one plane,
+	// so chunking at row granularity preserves plane alignment.
+	chunkRows := min(fitRows(cfg.MemCap, cols), (rows+p-1)/p)
 	if chunkRows < 1 {
 		return nil, fmt.Errorf("pencil: cap %d cannot stream one %d-sample row", cfg.MemCap, cols)
 	}
@@ -305,32 +328,40 @@ func plan(cfg Config, maxBandCols int) (*run, error) {
 		bands:     bands,
 		waves:     waves,
 		chunk:     make([]complex128, chunkRows*cols),
-		shard:     make([]complex128, chunkRows*bandCols),
+		slots:     make([]slot, min(p, bands)),
 	}, nil
 }
 
-// band is one open column band during a wave.
+// slot is one goroutine's reusable request and answer.
+type slot struct{ req, resp wire.PencilOp }
+
+// band is one column band of a wave.
 type band struct {
 	job   uint64
 	owner string
 	colLo int
 	colN  int
+	stage []complex128 // this band's staging rows, colN wide
 }
 
-// call sends one sub-operation, threading the byte accounting into the
-// run's span tree, stats and metrics at the same points with the same
-// values, so span rollups reconcile exactly with the metrics deltas.
+// call sends s.req and fills s.resp, threading the byte accounting
+// into the run's span tree, stats and metrics at the same points with
+// the same values, so span rollups reconcile exactly with the metrics
+// deltas.
 // The communication floor accrues the shard samples actually moved over
 // the wire (sent or received on a remote call) — the bytes the
 // transpose must cross the bisection with; headers and sub-headers are
 // overhead above the floor, which keeps achieved/floor >= 1.
-func (r *run) call(ctx context.Context, stage, peer string, req, resp *wire.PencilOp) error {
+func (r *run) call(ctx context.Context, stage, peer string, s *slot) error {
+	req, resp := &s.req, &s.resp
+	// An error answer leaves resp as it was: start it empty, so neither
+	// the floor nor the caller counts the previous call's samples.
+	resp.Data = resp.Data[:0]
 	sp := obs.StartChild(ctx, "pencil.rpc").SetCat(obs.CatCluster).
 		SetDetail(stage + " " + peer)
 	sent, recv, err := r.cfg.Transport.Call(ctx, peer, req, resp)
 	sp.AddBytes(sent, recv)
 	sp.End()
-	r.stats.RPCs++
 	var floor int64
 	if sent > 0 {
 		floor += 16 * int64(len(req.Data))
@@ -338,9 +369,12 @@ func (r *run) call(ctx context.Context, stage, peer string, req, resp *wire.Penc
 	if recv > 0 {
 		floor += 16 * int64(len(resp.Data))
 	}
+	r.mu.Lock()
+	r.stats.RPCs++
 	r.stats.WireBytesSent += sent
 	r.stats.WireBytesRecv += recv
 	r.stats.CommFloorBytes += floor
+	r.mu.Unlock()
 	r.cfg.Metrics.countRPC(req.Sub)
 	r.cfg.Metrics.addWire(sent, recv, floor)
 	if err != nil {
@@ -364,163 +398,276 @@ func (r *run) header(sub uint8) wire.PencilOp {
 	return op
 }
 
+// bandOp builds a sub-operation addressed to band b's job.
+func (r *run) bandOp(sub uint8, b *band) wire.PencilOp {
+	op := r.header(sub)
+	op.Job = b.job
+	op.ColLo = uint32(b.colLo)
+	op.ColN = uint32(b.colN)
+	return op
+}
+
+// fanOut runs f(ctx, i) for every i in [0, n) at once and waits for all
+// of them. It returns the first error in time and cancels the others'
+// context when it happens; the canceled siblings' own errors are
+// dropped. Order in time is the only sound pick: a sibling's
+// cancellation may come back from a remote peer as plain text, not as
+// context.Canceled, so it cannot be told apart from a real failure.
+func fanOut(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		return f(ctx, 0)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	fail := func(err error) {
+		once.Do(func() {
+			first = err
+			cancel()
+		})
+	}
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			if err := f(ctx, i); err != nil {
+				fail(err)
+			}
+		}(i)
+	}
+	if err := f(ctx, 0); err != nil {
+		fail(err)
+	}
+	wg.Wait()
+	return first
+}
+
 // execute runs the waves. Within each wave: open the wave's bands,
 // stream every slab through its owner's row transform and deposit the
-// transposed shards (the distributed transpose), run the column FFTs,
-// gather the bands into the sink, close. The gather for a wave starts
-// only after every column FFT of that wave succeeded, so a mid-wave
-// failure leaves the sink untouched by that wave; earlier waves cover
-// disjoint columns and were complete. A failed run therefore never
-// interleaves partial new data into cells a retry would also write.
+// transposed rows (the distributed transpose), run the column FFTs,
+// gather the bands into the sink, close. Every stage but the row stream
+// runs on all of the wave's band owners at once. The gather for a wave
+// starts only after every column FFT of that wave succeeded, so a
+// failure before then leaves the sink untouched by that wave; earlier
+// waves cover disjoint columns and were complete. A failed run
+// therefore never interleaves partial new data into cells a retry would
+// also write.
 func (r *run) execute(ctx context.Context, src Source, sink Sink) error {
-	workers := r.cfg.Workers
 	for wave := 0; wave < r.waves; wave++ {
 		if r.cfg.Metrics != nil {
 			r.cfg.Metrics.waves.Add(1)
 		}
-		r.stats.Waves++
-		var open []band
-		waveErr := func() error {
-			// Open this wave's bands, one per worker.
-			for k := 0; k < len(workers); k++ {
-				colLo := (wave*len(workers) + k) * r.bandCols
-				if colLo >= r.cols {
-					break
-				}
-				colN := r.cols - colLo
-				if colN > r.bandCols {
-					colN = r.bandCols
-				}
-				b := band{job: jobSeq.Add(1), owner: workers[k], colLo: colLo, colN: colN}
-				op := r.header(wire.PencilOpen)
-				op.Job = b.job
-				op.ColLo = uint32(colLo)
-				op.ColN = uint32(colN)
-				var resp wire.PencilOp
-				if err := r.call(ctx, "open", b.owner, &op, &resp); err != nil {
-					return err
-				}
-				open = append(open, b)
-			}
-			// Scatter: stream each slab through its owner's row stage,
-			// then deposit each band's columns with the band owner.
-			slabs := SplitRows(r.rows, len(workers))
-			for s, slab := range slabs {
-				owner := workers[s]
-				for lo := slab.Lo; lo < slab.Hi; lo += r.chunkRows {
-					cn := slab.Hi - lo
-					if cn > r.chunkRows {
-						cn = r.chunkRows
-					}
-					chunk := r.chunk[:cn*r.cols]
-					if err := src.ReadRows(lo, cn, chunk); err != nil {
-						return fmt.Errorf("pencil: source rows [%d,%d): %w", lo, lo+cn, err)
-					}
-					op := r.header(wire.PencilRows)
-					op.RowLo = uint32(lo)
-					op.RowN = uint32(cn)
-					op.Data = chunk
-					var resp wire.PencilOp
-					if err := r.call(ctx, "rows", owner, &op, &resp); err != nil {
-						return err
-					}
-					if len(resp.Data) != cn*r.cols {
-						return fmt.Errorf("pencil: rows on %s returned %d samples, want %d", owner, len(resp.Data), cn*r.cols)
-					}
-					transformed := resp.Data
-					for _, b := range open {
-						shard := r.shard[:cn*b.colN]
-						for i := 0; i < cn; i++ {
-							copy(shard[i*b.colN:(i+1)*b.colN], transformed[i*r.cols+b.colLo:i*r.cols+b.colLo+b.colN])
-						}
-						dep := r.header(wire.PencilDeposit)
-						dep.Job = b.job
-						dep.RowLo = uint32(lo)
-						dep.RowN = uint32(cn)
-						dep.ColLo = uint32(b.colLo)
-						dep.ColN = uint32(b.colN)
-						dep.Data = shard
-						var dresp wire.PencilOp
-						if err := r.call(ctx, "deposit", b.owner, &dep, &dresp); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			// Column FFTs over every band of the wave.
-			for _, b := range open {
-				op := r.header(wire.PencilColFFT)
-				op.Job = b.job
-				op.ColLo = uint32(b.colLo)
-				op.ColN = uint32(b.colN)
-				var resp wire.PencilOp
-				if err := r.call(ctx, "colfft", b.owner, &op, &resp); err != nil {
-					return err
-				}
-			}
-			// Gather the finished bands into the sink.
-			for _, b := range open {
-				for lo := 0; lo < r.rows; lo += r.chunkRows {
-					cn := r.rows - lo
-					if cn > r.chunkRows {
-						cn = r.chunkRows
-					}
-					op := r.header(wire.PencilRead)
-					op.Job = b.job
-					op.RowLo = uint32(lo)
-					op.RowN = uint32(cn)
-					op.ColLo = uint32(b.colLo)
-					op.ColN = uint32(b.colN)
-					var resp wire.PencilOp
-					if err := r.call(ctx, "read", b.owner, &op, &resp); err != nil {
-						return err
-					}
-					if len(resp.Data) != cn*b.colN {
-						return fmt.Errorf("pencil: read on %s returned %d samples, want %d", b.owner, len(resp.Data), cn*b.colN)
-					}
-					if err := sink.WriteBand(lo, cn, b.colLo, b.colN, resp.Data); err != nil {
-						return fmt.Errorf("pencil: sink band [%d,%d)x[%d,%d): %w", lo, lo+cn, b.colLo, b.colLo+b.colN, err)
-					}
-				}
-			}
-			// Close the wave's bands.
-			for i := len(open) - 1; i >= 0; i-- {
-				b := open[i]
-				op := r.header(wire.PencilClose)
-				op.Job = b.job
-				var resp wire.PencilOp
-				if err := r.call(ctx, "close", b.owner, &op, &resp); err != nil {
-					return err
-				}
-				open = open[:i]
-			}
-			return nil
-		}()
-		if waveErr != nil {
-			r.abandon(open)
-			return waveErr
+		bands := r.waveBands(wave)
+		if err := r.wave(ctx, bands, src, sink); err != nil {
+			r.abandon(bands)
+			return err
 		}
 	}
 	return nil
 }
 
-// abandon best-effort-closes bands after a failure so worker memory
-// frees now instead of at TTL expiry. It runs on a detached short
-// deadline: the original context may already be canceled, and a worker
-// that died ignores us either way.
-func (r *run) abandon(open []band) {
-	if len(open) == 0 {
-		return
+// waveBands lays out one wave's column bands, one per worker in
+// schedule order, each under a fresh job ID.
+func (r *run) waveBands(wave int) []band {
+	p := len(r.cfg.Workers)
+	bands := make([]band, 0, p)
+	for k := 0; k < p; k++ {
+		colLo := (wave*p + k) * r.bandCols
+		if colLo >= r.cols {
+			break
+		}
+		bands = append(bands, band{
+			job:   jobSeq.Add(1),
+			owner: r.cfg.Workers[k],
+			colLo: colLo,
+			colN:  min(r.cols-colLo, r.bandCols),
+		})
 	}
+	return bands
+}
+
+// stageBands splits the staging among a wave's bands: h rows of every
+// band side by side, with h sized by the bands' summed width so that
+// all of it stays within half the cap. The scatter stages deposits in
+// it and the gather reads into it. It returns h.
+func (r *run) stageBands(bands []band) int {
+	width := 0
+	for _, b := range bands {
+		width += b.colN
+	}
+	h := min(fitRows(r.cfg.MemCap, width), r.rows)
+	if need := h * width; cap(r.stage) < need {
+		r.stage = make([]complex128, need)
+	}
+	off := 0
+	for i := range bands {
+		end := off + h*bands[i].colN
+		bands[i].stage = r.stage[off:end:end]
+		off = end
+	}
+	return h
+}
+
+// wave runs one wave's stages.
+func (r *run) wave(ctx context.Context, bands []band, src Source, sink Sink) error {
+	n := len(bands)
+	// Each open runs to its answer on the wave's context, even when a
+	// sibling's fails: a canceled open could still reach its peer after
+	// abandon's close and hold the band there until its TTL.
+	if err := fanOut(ctx, n, func(_ context.Context, i int) error {
+		r.slots[i].req = r.bandOp(wire.PencilOpen, &bands[i])
+		return r.call(ctx, "open", bands[i].owner, &r.slots[i])
+	}); err != nil {
+		return err
+	}
+	h := r.stageBands(bands)
+	if err := r.scatter(ctx, bands, h, src); err != nil {
+		return err
+	}
+	if err := fanOut(ctx, n, func(ctx context.Context, i int) error {
+		r.slots[i].req = r.bandOp(wire.PencilColFFT, &bands[i])
+		return r.call(ctx, "colfft", bands[i].owner, &r.slots[i])
+	}); err != nil {
+		return err
+	}
+	// Gather: every band reads h rows at a time into its own staging, so
+	// the wave's reads in flight together stay within half the cap. Sink
+	// writes are serialized, so a Sink need not be safe for concurrent
+	// use. sinkMu is held across WriteBand, but only this stage's
+	// goroutines ever take it.
+	var sinkMu sync.Mutex
+	if err := fanOut(ctx, n, func(ctx context.Context, i int) error {
+		b, s := &bands[i], &r.slots[i]
+		for lo := 0; lo < r.rows; lo += h {
+			cn := min(r.rows-lo, h)
+			s.req = r.bandOp(wire.PencilRead, b)
+			s.req.RowLo = uint32(lo)
+			s.req.RowN = uint32(cn)
+			s.resp.Data = b.stage[:0]
+			if err := r.call(ctx, "read", b.owner, s); err != nil {
+				return err
+			}
+			if len(s.resp.Data) != cn*b.colN {
+				return fmt.Errorf("pencil: read on %s returned %d samples, want %d", b.owner, len(s.resp.Data), cn*b.colN)
+			}
+			sinkMu.Lock()
+			err := sink.WriteBand(lo, cn, b.colLo, b.colN, s.resp.Data)
+			sinkMu.Unlock()
+			if err != nil {
+				return fmt.Errorf("pencil: sink band [%d,%d)x[%d,%d): %w", lo, lo+cn, b.colLo, b.colLo+b.colN, err)
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	return fanOut(ctx, n, func(ctx context.Context, i int) error {
+		r.slots[i].req = r.header(wire.PencilClose)
+		r.slots[i].req.Job = bands[i].job
+		return r.call(ctx, "close", bands[i].owner, &r.slots[i])
+	})
+}
+
+// scatter is the row stage and the distributed transpose. It streams
+// each slab through its owner's row transform one chunk at a time — one
+// serial stream, so the coordinator holds a single chunk, and each
+// answer decodes back into it — and copies each band's columns of the
+// result into that band's staging. When the next chunk would not fit
+// the staged rows' limit, and at the end of every slab, it deposits
+// every band's staged rows with all band owners at once. The limit is
+// the staging height h, but never taller than a slab: staging never
+// spans two slabs. Since the bands' widths sum to at most cols, h rows
+// of staging always hold at least one chunk.
+func (r *run) scatter(ctx context.Context, bands []band, h int, src Source) error {
+	slabs := SplitRows(r.rows, len(r.cfg.Workers))
+	stageRows := min(h, slabs[0].Hi-slabs[0].Lo)
+	stageLo, staged := 0, 0 // first row and height of the staged block
+	flush := func() error {
+		err := fanOut(ctx, len(bands), func(ctx context.Context, i int) error {
+			b, s := &bands[i], &r.slots[i]
+			s.req = r.bandOp(wire.PencilDeposit, b)
+			s.req.RowLo = uint32(stageLo)
+			s.req.RowN = uint32(staged)
+			s.req.Data = b.stage[:staged*b.colN]
+			return r.call(ctx, "deposit", b.owner, s)
+		})
+		staged = 0
+		return err
+	}
+	for s, slab := range slabs {
+		owner := r.cfg.Workers[s]
+		for lo := slab.Lo; lo < slab.Hi; lo += r.chunkRows {
+			cn := min(slab.Hi-lo, r.chunkRows)
+			if staged+cn > stageRows {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			if staged == 0 {
+				stageLo = lo
+			}
+			chunk := r.chunk[:cn*r.cols]
+			if err := src.ReadRows(lo, cn, chunk); err != nil {
+				return fmt.Errorf("pencil: source rows [%d,%d): %w", lo, lo+cn, err)
+			}
+			s := &r.rowSlot
+			s.req = r.header(wire.PencilRows)
+			s.req.RowLo = uint32(lo)
+			s.req.RowN = uint32(cn)
+			s.req.Data = chunk
+			s.resp.Data = chunk[:0]
+			if err := r.call(ctx, "rows", owner, s); err != nil {
+				return err
+			}
+			transformed := s.resp.Data
+			if len(transformed) != cn*r.cols {
+				return fmt.Errorf("pencil: rows on %s returned %d samples, want %d", owner, len(transformed), cn*r.cols)
+			}
+			for i := range bands {
+				b := &bands[i]
+				dst := b.stage[staged*b.colN:]
+				for k := 0; k < cn; k++ {
+					copy(dst[k*b.colN:(k+1)*b.colN], transformed[k*r.cols+b.colLo:])
+				}
+			}
+			staged += cn
+		}
+		if staged > 0 {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// abandon best-effort-closes every band of a failed wave, on all their
+// owners at once, so worker memory frees now instead of at TTL expiry.
+// That includes bands whose open failed or went unanswered: a canceled
+// open may still have reached its peer, and closing a band that was
+// never opened only draws a "not open" answer, ignored like every other
+// error here. An open the caller canceled while it was in flight can
+// still land after its close; the TTL frees that band. It runs on a
+// detached short deadline: the original context may already be
+// canceled, and a worker that died ignores us either way.
+func (r *run) abandon(bands []band) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	for _, b := range open {
-		op := r.header(wire.PencilClose)
-		op.Job = b.job
-		var resp wire.PencilOp
-		// Ignore errors: TTL expiry is the backstop.
-		_ = r.call(ctx, "close", b.owner, &op, &resp)
-	}
+	_ = fanOut(ctx, len(bands), func(ctx context.Context, i int) error {
+		r.slots[i].req = r.header(wire.PencilClose)
+		r.slots[i].req.Job = bands[i].job
+		// Ignore errors: TTL expiry is the backstop, and one failed
+		// close must not cancel the others.
+		_ = r.call(ctx, "close", bands[i].owner, &r.slots[i])
+		return nil
+	})
 }
 
 // RowRange is one worker's contiguous slab [Lo, Hi).

@@ -2,10 +2,14 @@ package pencil
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,6 +57,27 @@ func runShape(t *testing.T, cfg Config, shape Shape, inverse bool, input []compl
 		t.Fatalf("Run(%dx%d): %v", shape.Rows, shape.Cols, err)
 	}
 	return out, stats
+}
+
+// runWithin runs Run and fails the test unless it returns within 30s.
+func runWithin(t *testing.T, ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) {
+	t.Helper()
+	type result struct {
+		stats Stats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := Run(ctx, cfg, src, sink)
+		done <- result{st, err}
+	}()
+	select {
+	case res := <-done:
+		return res.stats, res.err
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return within 30s")
+		return Stats{}, nil
+	}
 }
 
 func TestRunMatchesPlan2DBitIdentical(t *testing.T) {
@@ -161,33 +186,44 @@ func TestRunRejectsImpossibleCap(t *testing.T) {
 	}
 }
 
-// killTransport fails every call to a given peer once armed, and can
-// arm itself after a fixed number of successful deposits — the
-// mid-transpose node kill.
+// killTransport fails every call to a given peer once armed, and arms
+// itself once a fixed number of deposits have completed — the
+// mid-transpose node kill. Counting completed deposits rather than
+// issued ones keeps the kill after band state has landed even when a
+// stage's deposits run at once.
 type killTransport struct {
-	inner Transport
-	peer  string
+	inner     Transport
+	peer      string
+	killAfter int
 
 	mu       sync.Mutex
-	deposits int
-	killAt   int
+	deposits int // completed deposits
 	dead     bool
+	refused  int // calls refused by the dead peer
+	landedAt int // completed deposits when the first call was refused
 }
 
 func (k *killTransport) Call(ctx context.Context, peer string, req, resp *wire.PencilOp) (int64, int64, error) {
 	k.mu.Lock()
-	if req.Sub == wire.PencilDeposit {
-		k.deposits++
-		if k.deposits >= k.killAt {
-			k.dead = true
+	if k.dead && peer == k.peer {
+		if k.refused == 0 {
+			k.landedAt = k.deposits
 		}
-	}
-	dead := k.dead && peer == k.peer
-	k.mu.Unlock()
-	if dead {
+		k.refused++
+		k.mu.Unlock()
 		return 0, 0, fmt.Errorf("connection refused (node %s down)", peer)
 	}
-	return k.inner.Call(ctx, peer, req, resp)
+	k.mu.Unlock()
+	sent, recv, err := k.inner.Call(ctx, peer, req, resp)
+	if err == nil && req.Sub == wire.PencilDeposit {
+		k.mu.Lock()
+		k.deposits++
+		if k.deposits >= k.killAfter {
+			k.dead = true
+		}
+		k.mu.Unlock()
+	}
+	return sent, recv, err
 }
 
 // countingSink fails the test if any write lands.
@@ -201,12 +237,31 @@ func (c *countingSink) WriteBand(rowLo, nrows, colLo, ncols int, data []complex1
 	return nil
 }
 
+// waitGoroutines fails the test unless the goroutine count falls back
+// to at most want before the deadline: a run that returned must not
+// leave stage goroutines behind.
+func waitGoroutines(t *testing.T, want int, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines %v after the run returned; want <= %d", n, within, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestRunNodeKillMidTranspose(t *testing.T) {
 	cfg, _ := harness(t, 3, 0)
-	kt := &killTransport{inner: cfg.Transport, peer: "w1", killAt: 2}
+	kt := &killTransport{inner: cfg.Transport, peer: "w1", killAfter: 2}
 	cfg.Transport = kt
 	cfg.Shape = Shape2D(16, 16)
 	sink := &countingSink{t: t}
+	before := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() {
 		_, err := Run(context.Background(), cfg,
@@ -226,6 +281,113 @@ func TestRunNodeKillMidTranspose(t *testing.T) {
 	}
 	if sink.writes != 0 {
 		t.Fatalf("sink saw %d writes from a failed run; want 0", sink.writes)
+	}
+	kt.mu.Lock()
+	refused, landedAt := kt.refused, kt.landedAt
+	kt.mu.Unlock()
+	if refused == 0 || landedAt < 1 {
+		t.Fatalf("kill refused %d calls after %d completed deposits; want it to land after the first deposit", refused, landedAt)
+	}
+	waitGoroutines(t, before, 10*time.Second)
+}
+
+// recordingTransport checks every frame against the coordinator's
+// streaming budget and tracks the deposit and read bytes in flight at
+// once: the samples deposits carry out and reads bring back.
+type recordingTransport struct {
+	inner  Transport
+	budget int64 // half the cap, in bytes
+
+	mu       sync.Mutex
+	oversize []string
+	inFlight map[uint8]int64 // by sub-op
+	peak     map[uint8]int64
+}
+
+func (rt *recordingTransport) Call(ctx context.Context, peer string, req, resp *wire.PencilOp) (int64, int64, error) {
+	n := 16 * int64(len(req.Data))
+	var moved int64
+	switch req.Sub {
+	case wire.PencilDeposit:
+		moved = n
+	case wire.PencilRead:
+		moved = 16 * int64(req.RowN) * int64(req.ColN)
+	}
+	rt.mu.Lock()
+	if n > rt.budget {
+		rt.oversize = append(rt.oversize, fmt.Sprintf("%s request to %s: %d B", wire.PencilSubName(req.Sub), peer, n))
+	}
+	rt.inFlight[req.Sub] += moved
+	rt.peak[req.Sub] = max(rt.peak[req.Sub], rt.inFlight[req.Sub])
+	rt.mu.Unlock()
+	sent, recv, err := rt.inner.Call(ctx, peer, req, resp)
+	rt.mu.Lock()
+	rt.inFlight[req.Sub] -= moved
+	if m := 16 * int64(len(resp.Data)); m > rt.budget {
+		rt.oversize = append(rt.oversize, fmt.Sprintf("%s answer from %s: %d B", wire.PencilSubName(req.Sub), peer, m))
+	}
+	rt.mu.Unlock()
+	return sent, recv, err
+}
+
+// TestRunOutOfCoreSchedule pins the out-of-core schedule of a 48x48
+// transform on 3 workers under a 4608-byte cap: 5-column bands, 10 of
+// them in 4 waves. Row chunks are sized by half the cap, and so are a
+// wave's deposits together and its gather reads together, so every
+// frame carries at most 2304 B of samples and the run makes 214 RPCs.
+// The result stays bit-identical to Plan2D, and no worker exceeds its
+// cap.
+func TestRunOutOfCoreSchedule(t *testing.T) {
+	const rows, cols, memCap = 48, 48, 4608
+	cfg, workers := harness(t, 3, memCap)
+	rt := &recordingTransport{inner: cfg.Transport, budget: memCap / 2,
+		inFlight: map[uint8]int64{}, peak: map[uint8]int64{}}
+	cfg.Transport = rt
+	m := &Metrics{}
+	cfg.Metrics = m
+	cfg.Shape = Shape2D(rows, cols)
+	x := randComplex(rows*cols, 48)
+	out := make([]complex128, len(x))
+	stats, err := runWithin(t, context.Background(), cfg, SliceSource{Data: x, Cols: cols}, SliceSink{Data: out, Cols: cols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Waves != 4 || stats.Bands != 10 || stats.BandCols != 5 || stats.ChunkRows != 3 {
+		t.Fatalf("schedule %+v; want 4 waves of 5-column bands, 10 bands, 3-row chunks", stats)
+	}
+	p, err := fft.NewPlan2D(rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]complex128, len(x))
+	p.Transform(want, x)
+	for i := range out {
+		//fftlint:ignore floatcmp the batched schedule must stay bit-identical to Plan2D
+		if out[i] != want[i] {
+			t.Fatalf("output differs from Plan2D at %d: %v vs %v", i, out[i], want[i])
+		}
+	}
+	for name, w := range workers {
+		if st := w.Stats(); st.BytesPeak > memCap || st.OpenJobs != 0 || st.BytesInUse != 0 {
+			t.Fatalf("worker %s: %+v; want peak <= %d and nothing left open", name, st, memCap)
+		}
+	}
+	// A full wave stages 9 rows of its 15 columns, the last wave (one
+	// 3-column band) 48 rows. Deposits: per band and slab of 16 rows, a
+	// full wave flushes twice, the last wave once. Reads: 9 rows at a
+	// time take 6 per 5-column band, 1 for the 3-column band.
+	snap := m.Snapshot()
+	got := [6]int64{snap.RPCsOpen, snap.RPCsRows, snap.RPCsDeposit, snap.RPCsColFFT, snap.RPCsRead, snap.RPCsClose}
+	if got != [6]int64{10, 72, 57, 10, 55, 10} || stats.RPCs != 214 {
+		t.Fatalf("RPCs open/rows/deposit/colfft/read/close = %v, total %d; want [10 72 57 10 55 10], 214", got, stats.RPCs)
+	}
+	if len(rt.oversize) > 0 {
+		t.Fatalf("frames over the %d B streaming budget: %v", rt.budget, rt.oversize)
+	}
+	for _, sub := range []uint8{wire.PencilDeposit, wire.PencilRead} {
+		if pk := rt.peak[sub]; pk <= 0 || pk > rt.budget {
+			t.Fatalf("%s bytes in flight peaked at %d; want (0, %d]", wire.PencilSubName(sub), pk, rt.budget)
+		}
 	}
 }
 
@@ -262,6 +424,47 @@ func TestRunSpansReconcileWithMetrics(t *testing.T) {
 	}
 	if snap.Runs2D != 1 || snap.Errors != 0 {
 		t.Fatalf("snapshot %+v", snap)
+	}
+}
+
+// closeMissTransport sends peer's closes to a job that was never
+// opened, so each draws an error answer.
+type closeMissTransport struct {
+	inner Transport
+	peer  string
+}
+
+func (c closeMissTransport) Call(ctx context.Context, peer string, req, resp *wire.PencilOp) (int64, int64, error) {
+	if req.Sub == wire.PencilClose && peer == c.peer {
+		miss := *req
+		miss.Job ^= 1 << 63
+		req = &miss
+	}
+	return c.inner.Call(ctx, peer, req, resp)
+}
+
+// TestRunErrorAnswerAddsNoFloor — an error answer carries no samples,
+// so a run whose closes fail after the gather has the comm floor of a
+// clean run: the samples of the read before them are not counted twice.
+func TestRunErrorAnswerAddsNoFloor(t *testing.T) {
+	floor := func(miss bool) int64 {
+		cfg, _ := harness(t, 3, 0)
+		if miss {
+			cfg.Transport = closeMissTransport{inner: cfg.Transport, peer: "w1"}
+		}
+		m := &Metrics{}
+		cfg.Metrics = m
+		cfg.Shape = Shape2D(16, 16)
+		x := randComplex(16*16, 3)
+		_, err := runWithin(t, context.Background(), cfg,
+			SliceSource{Data: x, Cols: 16}, SliceSink{Data: make([]complex128, len(x)), Cols: 16})
+		if (err != nil) != miss {
+			t.Fatalf("closes missing %v: Run = %v", miss, err)
+		}
+		return m.Snapshot().CommFloorBytes
+	}
+	if clean, missed := floor(false), floor(true); missed != clean {
+		t.Fatalf("comm floor %d with failed closes; want the clean run's %d", missed, clean)
 	}
 }
 
@@ -341,54 +544,170 @@ func TestBusyMsgClassification(t *testing.T) {
 	}
 }
 
+// lateTransport models a TCP peer, which acts on every frame once it is
+// written: each call lands on its peer on a detached context, and a
+// caller that gives up first gets ctx.Err() at once while its call
+// still lands, later. A caller whose context is done by the time the
+// answer is back loses the answer too. before and after, when set, run
+// just ahead of and just after each landing.
+type lateTransport struct {
+	inner         Transport
+	before, after func(peer string, req *wire.PencilOp)
+	landing       sync.WaitGroup
+}
+
+func (t *lateTransport) Call(ctx context.Context, peer string, req, resp *wire.PencilOp) (int64, int64, error) {
+	// A landing may outlive the call, so it works on copies.
+	in := *req
+	in.Data = slices.Clone(req.Data)
+	var out wire.PencilOp
+	type result struct {
+		sent, recv int64
+		err        error
+	}
+	done := make(chan result, 1)
+	t.landing.Add(1)
+	go func() {
+		defer t.landing.Done()
+		if t.before != nil {
+			t.before(peer, &in)
+		}
+		sent, recv, err := t.inner.Call(context.WithoutCancel(ctx), peer, &in, &out)
+		if t.after != nil {
+			t.after(peer, &in)
+		}
+		done <- result{sent, recv, err}
+	}()
+	select {
+	case res := <-done:
+		if ctx.Err() != nil {
+			return 0, 0, ctx.Err()
+		}
+		data := append(resp.Data[:0], out.Data...)
+		*resp = out
+		resp.Data = data
+		return res.sent, res.recv, res.err
+	case <-ctx.Done():
+		return 0, 0, ctx.Err()
+	}
+}
+
+// settle waits until every call has landed.
+func (t *lateTransport) settle(tb testing.TB) {
+	tb.Helper()
+	landed := make(chan struct{})
+	go func() {
+		t.landing.Wait()
+		close(landed)
+	}()
+	select {
+	case <-landed:
+	case <-time.After(10 * time.Second):
+		tb.Fatal("calls still landing 10s after the run returned")
+	}
+}
+
 // TestRunNarrowsBandsForSmallerPeerCap — the coordinator plans bands
-// against its own cap, but here the worker was started with a cap that
+// against its own cap, but here one worker was started with a cap that
 // holds only a 2-column band (16*8*(2+1) = 384 bytes <= 400). Each
 // wider open is rejected; the run must narrow bands, finish, and stay
-// bit-identical to Plan2D.
+// bit-identical to Plan2D. With three workers the other two accept
+// every open, but their opens take 20ms to land, long after the small
+// worker's rejection: the coordinator must wait for their answers
+// before it abandons the wave, or its closes arrive first and the bands
+// they miss stay open.
 func TestRunNarrowsBandsForSmallerPeerCap(t *testing.T) {
 	rows, cols := 8, 16
-	cache := plancache.New(16)
-	workers := map[string]*Worker{"w0": NewWorker(WorkerConfig{MemCap: 400, Plans: cache})}
-	m := &Metrics{}
-	cfg := Config{
-		Shape:     Shape2D(rows, cols),
-		Workers:   []string{"w0"},
-		Transport: NewLocalTransport(true, workers),
-		MemCap:    DefaultMemCap,
-		Metrics:   m,
-	}
-	x := randComplex(rows*cols, 21)
-	out := make([]complex128, len(x))
-	stats, err := Run(context.Background(), cfg,
-		SliceSource{Data: x, Cols: cols}, SliceSink{Data: out, Cols: cols})
-	if err != nil {
-		t.Fatalf("Run against a smaller peer cap: %v", err)
-	}
-	if stats.CapRetries == 0 {
-		t.Fatalf("run never narrowed bands: %+v", stats)
-	}
-	if stats.BandCols > 2 {
-		t.Fatalf("final band width %d wider than the peer cap holds", stats.BandCols)
-	}
-	snap := m.Snapshot()
-	if snap.CapRetries != int64(stats.CapRetries) || snap.Errors != 0 || snap.Runs2D != 1 {
-		t.Fatalf("metrics %+v vs stats %+v", snap, stats)
-	}
-	p, err := fft.NewPlan2D(rows, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]complex128, len(x))
-	p.Transform(want, x)
-	for i := range out {
-		//fftlint:ignore floatcmp a cap-narrowed retry must still match Plan2D bit for bit
-		if out[i] != want[i] {
-			t.Fatalf("cap-narrowed output differs at %d: %v vs %v", i, out[i], want[i])
+	for _, caps := range [][]int64{{400}, {DefaultMemCap, 400, DefaultMemCap}} {
+		cache := plancache.New(16)
+		workers := make(map[string]*Worker, len(caps))
+		names := make([]string, len(caps))
+		small := ""
+		for i, c := range caps {
+			names[i] = fmt.Sprintf("w%d", i)
+			workers[names[i]] = NewWorker(WorkerConfig{MemCap: c, Plans: cache})
+			if c == 400 {
+				small = names[i]
+			}
+		}
+		lt := &lateTransport{inner: NewLocalTransport(true, workers), before: func(peer string, req *wire.PencilOp) {
+			if req.Sub == wire.PencilOpen && peer != small {
+				time.Sleep(20 * time.Millisecond)
+			}
+		}}
+		m := &Metrics{}
+		cfg := Config{
+			Shape:     Shape2D(rows, cols),
+			Workers:   names,
+			Transport: lt,
+			MemCap:    DefaultMemCap,
+			Metrics:   m,
+		}
+		x := randComplex(rows*cols, 21)
+		out := make([]complex128, len(x))
+		stats, err := runWithin(t, context.Background(), cfg,
+			SliceSource{Data: x, Cols: cols}, SliceSink{Data: out, Cols: cols})
+		if err != nil {
+			t.Fatalf("caps %v: Run against a smaller peer cap: %v", caps, err)
+		}
+		if stats.CapRetries == 0 {
+			t.Fatalf("caps %v: run never narrowed bands: %+v", caps, stats)
+		}
+		if stats.BandCols > 2 {
+			t.Fatalf("caps %v: final band width %d wider than the peer cap holds", caps, stats.BandCols)
+		}
+		snap := m.Snapshot()
+		if snap.CapRetries != int64(stats.CapRetries) || snap.Errors != 0 || snap.Runs2D != 1 {
+			t.Fatalf("caps %v: metrics %+v vs stats %+v", caps, snap, stats)
+		}
+		p, err := fft.NewPlan2D(rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]complex128, len(x))
+		p.Transform(want, x)
+		for i := range out {
+			//fftlint:ignore floatcmp a cap-narrowed retry must still match Plan2D bit for bit
+			if out[i] != want[i] {
+				t.Fatalf("caps %v: cap-narrowed output differs at %d: %v vs %v", caps, i, out[i], want[i])
+			}
+		}
+		lt.settle(t)
+		for i, name := range names {
+			st := workers[name].Stats()
+			if st.OpenJobs != 0 || st.BytesInUse != 0 || (caps[i] == 400) != (st.Rejected > 0) {
+				t.Fatalf("caps %v: worker %s stats after narrowed run: %+v", caps, name, st)
+			}
 		}
 	}
-	if st := workers["w0"].Stats(); st.Rejected == 0 || st.OpenJobs != 0 || st.BytesInUse != 0 {
-		t.Fatalf("worker stats after narrowed run: %+v", st)
+}
+
+// TestRunAbandonClosesUnansweredOpens — the caller cancels the run as
+// the last open of the wave lands. Every peer has opened its band, but
+// at least that last answer is lost; abandon must close every band of
+// the wave, answered or not, so no worker holds the band's memory until
+// its TTL.
+func TestRunAbandonClosesUnansweredOpens(t *testing.T) {
+	cfg, workers := harness(t, 3, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var opens atomic.Int32
+	lt := &lateTransport{inner: cfg.Transport, after: func(peer string, req *wire.PencilOp) {
+		if req.Sub == wire.PencilOpen && opens.Add(1) == 3 {
+			cancel()
+		}
+	}}
+	cfg.Transport = lt
+	cfg.Shape = Shape2D(16, 16)
+	x := randComplex(16*16, 5)
+	if _, err := runWithin(t, ctx, cfg, SliceSource{Data: x, Cols: 16}, &countingSink{t: t}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v; want context.Canceled", err)
+	}
+	lt.settle(t)
+	for name, w := range workers {
+		if st := w.Stats(); st.Opens != 1 || st.OpenJobs != 0 || st.BytesInUse != 0 {
+			t.Fatalf("worker %s: %+v; want its one band opened and closed again", name, st)
+		}
 	}
 }
 

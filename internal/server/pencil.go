@@ -99,11 +99,15 @@ func (s *Server) handleFFT2D(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("shape %dx%dx%d: sides must be at least 1", req.Rows, req.Cols, depth))
 		return
 	}
-	total := req.Rows * req.Cols * depth
-	if err := s.checkLen(total); err != nil {
-		writeError(w, err)
+	// Bound the product by division before multiplying: hostile sides
+	// wrap int (2^62+1 rows of 4 columns multiply to 4 samples), slip
+	// under the limit and fail the run with a 500.
+	if limit := s.cfg.MaxTransformLen; req.Cols > limit/depth || req.Rows > limit/(req.Cols*depth) {
+		writeError(w, badRequest("shape %dx%dx%d exceeds transform length limit %d",
+			req.Rows, req.Cols, depth, limit))
 		return
 	}
+	total := req.Rows * req.Cols * depth
 	if len(req.Input) != total {
 		writeError(w, badRequest("input has %d samples, shape %dx%dx%d needs %d",
 			len(req.Input), req.Rows, req.Cols, depth, total))

@@ -168,6 +168,9 @@ func TestFFT2DPencilValidation(t *testing.T) {
 		{"negative depth", FFT2DRequest{Rows: 4, Cols: 4, Depth: -1, Input: make([]Complex, 16)}, http.StatusBadRequest},
 		{"length mismatch", FFT2DRequest{Rows: 4, Cols: 4, Input: make([]Complex, 15)}, http.StatusBadRequest},
 		{"over limit", FFT2DRequest{Rows: 64, Cols: 64, Input: make([]Complex, 4096)}, http.StatusBadRequest},
+		// Sides whose product wraps int to a small in-limit length.
+		{"rows wrap", FFT2DRequest{Rows: 1<<62 + 1, Cols: 4, Input: make([]Complex, 4)}, http.StatusBadRequest},
+		{"depth wrap", FFT2DRequest{Rows: 2, Cols: 2, Depth: 1<<62 + 1, Input: make([]Complex, 4)}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/fft2d", tc.req)
