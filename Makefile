@@ -18,10 +18,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's own fftlint analyzers (see docs/LINTING.md).
-# It fails on any finding; suppress intentional sites with
-# //fftlint:ignore <analyzer> <reason>.
+# lint fails on any tracked Go file gofmt would change, then runs the
+# repo's own fftlint analyzers (see docs/LINTING.md). It fails on any
+# finding; suppress intentional sites with
+# //fftlint:ignore <analyzer> <reason>. Listing tracked files keeps
+# .bench_build/'s module cache out of the gofmt check.
 lint:
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "lint: no tracked Go files to gofmt"; exit 1; }; \
+	unformatted=$$(gofmt -l $$files); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/fftlint ./...
 
 test:

@@ -135,7 +135,7 @@ func runStatus(addrs []string, timeout time.Duration, asJSON bool) bool {
 				sizeBytes(st.Pencil.BytesInUse), sizeBytes(st.Pencil.MemCap))
 		}
 		t.MustAddRow(r.Addr, state,
-			(time.Duration(st.UptimeSeconds*float64(time.Second))).Round(time.Second).String(),
+			(time.Duration(st.UptimeSeconds * float64(time.Second))).Round(time.Second).String(),
 			strconv.FormatInt(st.TransformRPCs, 10),
 			strconv.FormatInt(st.PencilRPCs, 10),
 			strconv.FormatInt(st.RPCErrors, 10),

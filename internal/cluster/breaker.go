@@ -67,6 +67,15 @@ func (b *breaker) record(ok bool) {
 	}
 }
 
+// release ends a request that was canceled before it said anything
+// about the peer: it frees the half-open probe slot and records no
+// outcome.
+func (b *breaker) release() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // reset closes the breaker (peer recovered via heartbeat).
 func (b *breaker) reset() {
 	b.mu.Lock()

@@ -436,7 +436,9 @@ func (c *Client) tryRound(ctx context.Context, prefs []string, op *wire.Transfor
 
 // attempt executes op on one candidate: the local executor for Self,
 // a wire RPC otherwise. Transport outcomes feed the peer's breaker and
-// the registry's fast failure path. When the request is traced, the
+// the registry's fast failure path, except for an attempt whose context
+// was canceled — a hedge loser, or a caller that gave up — which says
+// nothing about the peer. When the request is traced, the
 // attempt gets its own span tagged with peer, kind (primary, hedge,
 // failover), round and outcome — hedge losers and failed failovers
 // stay visible in the assembled tree instead of vanishing into the
@@ -469,11 +471,12 @@ func (c *Client) attempt(ctx context.Context, id string, op *wire.TransformOp, k
 	b := c.breaker(id)
 	switch {
 	case err != nil:
-		b.record(false)
-		c.reg.ReportFailure(id, err)
 		if ctx.Err() != nil {
+			b.release()
 			outcome("canceled")
 		} else {
+			b.record(false)
+			c.reg.ReportFailure(id, err)
 			outcome("failed")
 		}
 		return attemptResult{peer: id, err: fmt.Errorf("cluster: peer %s: %w", id, err), sp: sp}

@@ -104,13 +104,13 @@ func (k ShapeKey) String() string {
 // NodeStatus is the JSON payload of a wire status RPC: one node's view
 // of itself, rendered by `fftcluster status`.
 type NodeStatus struct {
-	ID            string           `json:"id"`
-	Addr          string           `json:"addr"`
-	Ready         bool             `json:"ready"`
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	TransformRPCs int64            `json:"transform_rpcs"`
-	RPCErrors     int64            `json:"rpc_errors"`
-	Pings         int64            `json:"pings"`
+	ID            string  `json:"id"`
+	Addr          string  `json:"addr"`
+	Ready         bool    `json:"ready"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	TransformRPCs int64   `json:"transform_rpcs"`
+	RPCErrors     int64   `json:"rpc_errors"`
+	Pings         int64   `json:"pings"`
 	// WireBytesRead and WireBytesWritten count whole frames (headers,
 	// extensions and payloads) through this node's cluster port — the
 	// server-side half of the communication-roofline accounting.

@@ -167,7 +167,9 @@ func (k *killerTransport) Call(ctx context.Context, peer string, req, resp *wire
 // not have written a single shard to the sink, and must not leave a
 // goroutine behind. The healthy peer stays healthy: the coordinator
 // cancels its in-flight calls when the victim fails, and a canceled
-// call must not count against it in the registry.
+// call must not count against it in the registry. The coordinator's
+// 8192-byte cap stages 8 of the 32 rows at a time, so one wave deposits
+// four times with each band owner and the victim dies at its third.
 func TestPencilClusterNodeKillTCP(t *testing.T) {
 	tc, workers := startPencilCluster(t, 3, nil)
 	base := &PencilTransport{Client: tc.clients[0], Self: tc.addrs[0], Local: workers[0]}
@@ -186,6 +188,7 @@ func TestPencilClusterNodeKillTCP(t *testing.T) {
 			Shape:     pencil.Shape2D(rows, cols),
 			Workers:   tc.addrs,
 			Transport: transport,
+			MemCap:    8192,
 		}, pencil.SliceSource{Data: in, Cols: cols}, sink)
 		done <- err
 	}()

@@ -122,6 +122,26 @@ func TestShapeKeyHashSeparates(t *testing.T) {
 	}
 }
 
+// TestBreakerReleasedProbeFreesSlot — a half-open probe whose request
+// was canceled frees the probe slot without re-opening or closing the
+// circuit, so the next request can probe.
+func TestBreakerReleasedProbeFreesSlot(t *testing.T) {
+	now := time.Unix(0, 0)
+	b := newBreaker(1, time.Second, func() time.Time { return now })
+	b.record(false)
+	now = now.Add(time.Second)
+	if !b.allow() {
+		t.Fatal("half-open breaker refused the probe")
+	}
+	b.release()
+	if got := b.state(); got != "half-open" {
+		t.Fatalf("state after a released probe = %s, want half-open", got)
+	}
+	if !b.allow() {
+		t.Fatal("released probe slot was not freed for the next request")
+	}
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }

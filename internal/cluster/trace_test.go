@@ -320,32 +320,38 @@ func TestClusterAssembledTraceFailover(t *testing.T) {
 		float64(m.WireBytesSent+m.WireBytesRecv)/float64(m.CommFloorBytes))
 }
 
-// TestHedgeOutcomeCounters drives a hedge race and checks the outcome
-// counters stay consistent: every hedged attempt resolves to exactly
-// one of won, lost or canceled.
-func TestHedgeOutcomeCounters(t *testing.T) {
-	// Every executor, local or remote, stalls well past HedgeDelay, so
-	// each routed transform's primary is still running when the hedge
-	// timer fires: the race happens however fast the machine is.
-	stalled := func(cache *plancache.Cache) Executor {
-		exec := planExecutor(cache)
-		return func(ctx context.Context, op *wire.TransformOp) ([]complex128, error) {
-			select {
-			case <-time.After(5 * time.Millisecond):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			return exec(ctx, op)
+// stalledExecutor is planExecutor stalled 5ms per transform. With every
+// executor, local or remote, stalling well past a 1ms HedgeDelay, each
+// routed transform's primary is still running when the hedge timer
+// fires: the race happens however fast the machine is.
+func stalledExecutor(cache *plancache.Cache) Executor {
+	exec := planExecutor(cache)
+	return func(ctx context.Context, op *wire.TransformOp) ([]complex128, error) {
+		select {
+		case <-time.After(5 * time.Millisecond):
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
+		return exec(ctx, op)
 	}
+}
+
+// hedgeRace starts a 3-node cluster of stalled executors that hedges
+// after 1ms, routes batchSpecs through node 0's client, and returns the
+// cluster and the client's metrics once every launched hedge has an
+// outcome.
+func hedgeRace(t *testing.T) (*testCluster, ClientMetrics) {
+	t.Helper()
 	tc := startTestClusterExec(t, 3, ClientConfig{
 		HedgeDelay:  1 * time.Millisecond, // hedge aggressively
 		RPCTimeout:  2 * time.Second,
 		BackoffBase: 2 * time.Millisecond,
-	}, stalled)
+	}, stalledExecutor)
 	client := tc.clients[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	for i, op := range batchSpecs() {
-		if _, err := client.Transform(context.Background(), op); err != nil {
+		if _, err := client.Transform(ctx, op); err != nil {
 			t.Fatalf("transform %d: %v", i, err)
 		}
 	}
@@ -365,9 +371,39 @@ func TestHedgeOutcomeCounters(t *testing.T) {
 	if m.Hedged == 0 {
 		t.Fatal("no hedge fired although every executor stalls past HedgeDelay")
 	}
+	return tc, m
+}
+
+// TestHedgeOutcomeCounters drives a hedge race and checks the outcome
+// counters stay consistent: every hedged attempt resolves to exactly
+// one of won, lost or canceled.
+func TestHedgeOutcomeCounters(t *testing.T) {
+	_, m := hedgeRace(t)
 	total := m.HedgeWon + m.HedgeLost + m.HedgeCanceled
 	if total != m.Hedged {
 		t.Fatalf("hedge outcomes won=%d lost=%d canceled=%d sum to %d, want %d launched",
 			m.HedgeWon, m.HedgeLost, m.HedgeCanceled, total, m.Hedged)
+	}
+}
+
+// TestHedgeLosersKeepPeersHealthy — a won round cancels the attempts
+// that lost it, and a canceled attempt says nothing about its peer: no
+// peer may count a failure for it, trip its breaker or leave the ring.
+// Losers report after the round returns, so the check holds for a
+// while after the batch.
+func TestHedgeLosersKeepPeersHealthy(t *testing.T) {
+	tc, _ := hedgeRace(t)
+	client, reg := tc.clients[0], tc.regs[0]
+	for end := time.Now().Add(250 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		for _, p := range reg.Peers() {
+			if p.ConsecFails != 0 || !p.InRing {
+				t.Fatalf("peer after hedged rounds: %+v; want no failures and still in the ring", p)
+			}
+		}
+		for _, addr := range tc.addrs[1:] {
+			if st := client.breaker(addr).state(); st != "closed" {
+				t.Fatalf("breaker for %s is %s after hedged rounds; want closed", addr, st)
+			}
+		}
 	}
 }

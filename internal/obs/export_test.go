@@ -13,12 +13,12 @@ import (
 // chrome://tracing and Perfetto unchanged across refactors.
 func TestChromeTraceGolden(t *testing.T) {
 	tr := NewWithClock(testClock(time.Millisecond))
-	root := tr.Start("fft run")                                               // clock reads: start@1ms
+	root := tr.Start("fft run")                                                               // clock reads: start@1ms
 	rank := root.Child("butterfly rank 11").SetCat(CatParfft).SetDetail("bit 11").AddSteps(1) // start@2ms
-	rank.End()                                                                // end@3ms
-	rev := root.Child("bit-reversal").SetCat(CatParfft).AddSteps(3)           // start@4ms
-	rev.End()                                                                 // end@5ms
-	root.End()                                                                // end@6ms
+	rank.End()                                                                                // end@3ms
+	rev := root.Child("bit-reversal").SetCat(CatParfft).AddSteps(3)                           // start@4ms
+	rev.End()                                                                                 // end@5ms
+	root.End()                                                                                // end@6ms
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {

@@ -54,8 +54,8 @@ func (s Shape) validate() error {
 
 // Source streams the input: ReadRows fills dst (n*Cols samples) with
 // row-major rows [rowLo, rowLo+n). A run calls it from one goroutine,
-// in row order within each wave. Out-of-core runs call it more than
-// once per row range — a Source must be re-readable.
+// one row at a time in row order within each wave. Out-of-core runs
+// call it more than once per row — a Source must be re-readable.
 type Source interface {
 	ReadRows(rowLo, n int, dst []complex128) error
 }
@@ -129,11 +129,10 @@ type Config struct {
 	// Transport delivers the sub-operations.
 	Transport Transport
 	// MemCap bounds per-node band memory and the coordinator's own
-	// streaming buffers: its row chunk and its band staging each stay
-	// within half the cap, and every answer decodes into one of them —
-	// row answers into the chunk, gather reads into the staging. 0 means
-	// DefaultMemCap. Datasets larger than the cap run out of core (see
-	// package comment).
+	// streaming buffers: its one-row buffer and its band staging each
+	// stay within half the cap, and gather reads decode into the staging.
+	// 0 means DefaultMemCap. Datasets larger than the cap run out of core
+	// (see package comment).
 	MemCap int64
 	// Metrics, when non-nil, accumulates run counters.
 	Metrics *Metrics
@@ -144,7 +143,6 @@ type Stats struct {
 	Workers        int     `json:"workers"`
 	Bands          int     `json:"bands"`
 	Waves          int     `json:"waves"`
-	ChunkRows      int     `json:"chunk_rows"`
 	BandCols       int     `json:"band_cols"`
 	RPCs           int64   `json:"rpcs"`
 	WireBytesSent  int64   `json:"wire_bytes_sent"`
@@ -169,22 +167,20 @@ func init() { jobSeq.Store(rand.Uint64()) }
 
 // run carries one run's schedule and accounting.
 type run struct {
-	cfg       Config
-	rows      int
-	cols      int
-	chunkRows int
-	bandCols  int
-	bands     int
-	waves     int
+	cfg      Config
+	rows     int
+	cols     int
+	bandCols int
+	bands    int
+	waves    int
 
-	chunk []complex128 // chunkRows x cols row-stage buffer
-	stage []complex128 // deposit and gather staging for every band of a wave
-	// rowSlot carries the serial row stage's calls; slots[i] carries
-	// band i's calls in every stage of a wave, so one goroutine owns each
-	// at a time. Answers with samples decode into chunk or stage, so the
-	// slots hold no buffers of their own.
-	rowSlot slot
-	slots   []slot
+	rowPlan rowPlan
+	row     []complex128 // the row stage's one-row buffer
+	stage   []complex128 // deposit and gather staging for every band of a wave
+	// slots[i] carries band i's calls in every stage of a wave, so one
+	// goroutine owns each at a time. Read answers decode into stage, so
+	// the slots hold no buffers of their own.
+	slots []slot
 
 	mu    sync.Mutex // guards stats: band stages call from many goroutines
 	stats Stats
@@ -208,7 +204,13 @@ func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) 
 	if cfg.MemCap <= 0 {
 		cfg.MemCap = DefaultMemCap
 	}
-	r, err := plan(cfg, 0)
+	// The row plan is resolved once per run, with the constructors the
+	// workers' plan caches use.
+	rp, err := newRowPlan(freshPlans{}, cfg.Shape)
+	if err != nil {
+		return Stats{}, err
+	}
+	r, err := plan(cfg, rp, 0)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -234,7 +236,7 @@ func Run(ctx context.Context, cfg Config, src Source, sink Sink) (Stats, error) 
 			return r.stats, nil
 		}
 		if IsBandCapMsg(err.Error()) && r.bandCols > 1 {
-			if nr, perr := plan(cfg, r.bandCols/2); perr == nil {
+			if nr, perr := plan(cfg, rp, r.bandCols/2); perr == nil {
 				r = nr
 				retries++
 				if cfg.Metrics != nil {
@@ -264,7 +266,6 @@ func (r *run) runOnce(ctx context.Context, src Source, sink Sink) error {
 	r.stats.Workers = len(r.cfg.Workers)
 	r.stats.Bands = r.bands
 	r.stats.Waves = r.waves
-	r.stats.ChunkRows = r.chunkRows
 	r.stats.BandCols = r.bandCols
 	r.stats.RooflineRatio = roofline.Ratio(
 		float64(r.stats.WireBytesSent+r.stats.WireBytesRecv),
@@ -274,9 +275,9 @@ func (r *run) runOnce(ctx context.Context, src Source, sink Sink) error {
 
 // fitRows returns how many rows of width w fit both the coordinator's
 // streaming budget — half the memory cap — and one wire frame. Every
-// transfer the coordinator makes is sized by it: row chunks (w = cols),
-// and deposits and gather reads, which share one staging buffer
-// (w = a wave's summed band widths).
+// transfer the coordinator makes is sized by it: deposits and gather
+// reads, which share one staging buffer (w = a wave's summed band
+// widths). With w = cols it checks that the row buffer fits.
 func fitRows(memCap int64, w int) int {
 	n := memCap / 16 / 2 / int64(w)
 	if frame := int64((wire.MaxPayload - wire.PencilHdrSize) / (16 * w)); n > frame {
@@ -288,7 +289,7 @@ func fitRows(memCap int64, w int) int {
 // plan sizes the schedule against the memory cap and the wire's
 // payload bound. maxBandCols, when positive, narrows the column bands
 // below what the cap allows — the cap-rejection retry path.
-func plan(cfg Config, maxBandCols int) (*run, error) {
+func plan(cfg Config, rp rowPlan, maxBandCols int) (*run, error) {
 	rows, cols := cfg.Shape.Rows, cfg.Shape.Cols
 	p := len(cfg.Workers)
 	cap16 := cfg.MemCap / 16 // cap in complex128 samples
@@ -307,28 +308,24 @@ func plan(cfg Config, maxBandCols int) (*run, error) {
 		return nil, fmt.Errorf("pencil: cap %d cannot hold one %d-row column band", cfg.MemCap, rows)
 	}
 
-	// The coordinator streams chunkRows full rows at a time. A chunk
-	// never spans two slabs, so it is never taller than the tallest
-	// (first) slab. A 3D "row" is a whole x-plane and is never split
-	// mid-plane — the flattened view already makes each row one plane,
-	// so chunking at row granularity preserves plane alignment.
-	chunkRows := min(fitRows(cfg.MemCap, cols), (rows+p-1)/p)
-	if chunkRows < 1 {
+	// The row stage holds one full row at a time (a 3D "row" is a whole
+	// x-plane) within half the cap; the staging takes the other half.
+	if fitRows(cfg.MemCap, cols) < 1 {
 		return nil, fmt.Errorf("pencil: cap %d cannot stream one %d-sample row", cfg.MemCap, cols)
 	}
 
 	bands := (cols + bandCols - 1) / bandCols
 	waves := (bands + p - 1) / p
 	return &run{
-		cfg:       cfg,
-		rows:      rows,
-		cols:      cols,
-		chunkRows: chunkRows,
-		bandCols:  bandCols,
-		bands:     bands,
-		waves:     waves,
-		chunk:     make([]complex128, chunkRows*cols),
-		slots:     make([]slot, min(p, bands)),
+		cfg:      cfg,
+		rows:     rows,
+		cols:     cols,
+		bandCols: bandCols,
+		bands:    bands,
+		waves:    waves,
+		rowPlan:  rp,
+		row:      make([]complex128, cols),
+		slots:    make([]slot, min(p, bands)),
 	}, nil
 }
 
@@ -450,10 +447,10 @@ func fanOut(ctx context.Context, n int, f func(ctx context.Context, i int) error
 }
 
 // execute runs the waves. Within each wave: open the wave's bands,
-// stream every slab through its owner's row transform and deposit the
-// transposed rows (the distributed transpose), run the column FFTs,
-// gather the bands into the sink, close. Every stage but the row stream
-// runs on all of the wave's band owners at once. The gather for a wave
+// row-transform the source and deposit each band's columns of it with
+// the band's owner (the distributed transpose), run the column FFTs,
+// gather the bands into the sink, close. Every remote stage runs on all
+// of the wave's band owners at once. The gather for a wave
 // starts only after every column FFT of that wave succeeded, so a
 // failure before then leaves the sink untouched by that wave; earlier
 // waves cover disjoint columns and were complete. A failed run
@@ -576,18 +573,12 @@ func (r *run) wave(ctx context.Context, bands []band, src Source, sink Sink) err
 }
 
 // scatter is the row stage and the distributed transpose. It streams
-// each slab through its owner's row transform one chunk at a time — one
-// serial stream, so the coordinator holds a single chunk, and each
-// answer decodes back into it — and copies each band's columns of the
-// result into that band's staging. When the next chunk would not fit
-// the staged rows' limit, and at the end of every slab, it deposits
-// every band's staged rows with all band owners at once. The limit is
-// the staging height h, but never taller than a slab: staging never
-// spans two slabs. Since the bands' widths sum to at most cols, h rows
-// of staging always hold at least one chunk.
+// the source one row at a time: it reads the row, transforms it in
+// place, and copies each band's columns of it into that band's staging.
+// When the staging holds h rows, and after the last row, it deposits
+// every band's staged rows with all band owners at once; that fan-out
+// is the transpose.
 func (r *run) scatter(ctx context.Context, bands []band, h int, src Source) error {
-	slabs := SplitRows(r.rows, len(r.cfg.Workers))
-	stageRows := min(h, slabs[0].Hi-slabs[0].Lo)
 	stageLo, staged := 0, 0 // first row and height of the staged block
 	flush := func() error {
 		err := fanOut(ctx, len(bands), func(ctx context.Context, i int) error {
@@ -598,48 +589,20 @@ func (r *run) scatter(ctx context.Context, bands []band, h int, src Source) erro
 			s.req.Data = b.stage[:staged*b.colN]
 			return r.call(ctx, "deposit", b.owner, s)
 		})
+		stageLo += staged
 		staged = 0
 		return err
 	}
-	for s, slab := range slabs {
-		owner := r.cfg.Workers[s]
-		for lo := slab.Lo; lo < slab.Hi; lo += r.chunkRows {
-			cn := min(slab.Hi-lo, r.chunkRows)
-			if staged+cn > stageRows {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			if staged == 0 {
-				stageLo = lo
-			}
-			chunk := r.chunk[:cn*r.cols]
-			if err := src.ReadRows(lo, cn, chunk); err != nil {
-				return fmt.Errorf("pencil: source rows [%d,%d): %w", lo, lo+cn, err)
-			}
-			s := &r.rowSlot
-			s.req = r.header(wire.PencilRows)
-			s.req.RowLo = uint32(lo)
-			s.req.RowN = uint32(cn)
-			s.req.Data = chunk
-			s.resp.Data = chunk[:0]
-			if err := r.call(ctx, "rows", owner, s); err != nil {
-				return err
-			}
-			transformed := s.resp.Data
-			if len(transformed) != cn*r.cols {
-				return fmt.Errorf("pencil: rows on %s returned %d samples, want %d", owner, len(transformed), cn*r.cols)
-			}
-			for i := range bands {
-				b := &bands[i]
-				dst := b.stage[staged*b.colN:]
-				for k := 0; k < cn; k++ {
-					copy(dst[k*b.colN:(k+1)*b.colN], transformed[k*r.cols+b.colLo:])
-				}
-			}
-			staged += cn
+	for row := 0; row < r.rows; row++ {
+		if err := src.ReadRows(row, 1, r.row); err != nil {
+			return fmt.Errorf("pencil: source row %d: %w", row, err)
 		}
-		if staged > 0 {
+		r.rowPlan.transform(r.row, r.cfg.Inverse)
+		for i := range bands {
+			b := &bands[i]
+			copy(b.stage[staged*b.colN:(staged+1)*b.colN], r.row[b.colLo:])
+		}
+		if staged++; staged == h || row == r.rows-1 {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -654,9 +617,9 @@ func (r *run) scatter(ctx context.Context, bands []band, h int, src Source) erro
 // open may still have reached its peer, and closing a band that was
 // never opened only draws a "not open" answer, ignored like every other
 // error here. An open the caller canceled while it was in flight can
-// still land after its close; the TTL frees that band. It runs on a
-// detached short deadline: the original context may already be
-// canceled, and a worker that died ignores us either way.
+// still land after its close; the worker remembers the close and refuses
+// it. It runs on a detached short deadline: the original context may
+// already be canceled, and a worker that died ignores us either way.
 func (r *run) abandon(bands []band) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -668,24 +631,4 @@ func (r *run) abandon(bands []band) {
 		_ = r.call(ctx, "close", bands[i].owner, &r.slots[i])
 		return nil
 	})
-}
-
-// RowRange is one worker's contiguous slab [Lo, Hi).
-type RowRange struct{ Lo, Hi int }
-
-// SplitRows divides rows into p contiguous near-even slabs, the first
-// rows%p slabs one row taller. Workers beyond rows get empty slabs.
-func SplitRows(rows, p int) []RowRange {
-	out := make([]RowRange, p)
-	base, extra := rows/p, rows%p
-	lo := 0
-	for i := range out {
-		n := base
-		if i < extra {
-			n++
-		}
-		out[i] = RowRange{Lo: lo, Hi: lo + n}
-		lo += n
-	}
-	return out
 }

@@ -23,7 +23,6 @@ type Metrics struct {
 	capRetries atomic.Int64
 
 	rpcOpen    atomic.Int64
-	rpcRows    atomic.Int64
 	rpcDeposit atomic.Int64
 	rpcColFFT  atomic.Int64
 	rpcRead    atomic.Int64
@@ -43,7 +42,6 @@ type MetricsSnapshot struct {
 	CapRetries int64 `json:"cap_retries"`
 
 	RPCsOpen    int64 `json:"rpcs_open"`
-	RPCsRows    int64 `json:"rpcs_rows"`
 	RPCsDeposit int64 `json:"rpcs_deposit"`
 	RPCsColFFT  int64 `json:"rpcs_colfft"`
 	RPCsRead    int64 `json:"rpcs_read"`
@@ -66,7 +64,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Waves:          m.waves.Load(),
 		CapRetries:     m.capRetries.Load(),
 		RPCsOpen:       m.rpcOpen.Load(),
-		RPCsRows:       m.rpcRows.Load(),
 		RPCsDeposit:    m.rpcDeposit.Load(),
 		RPCsColFFT:     m.rpcColFFT.Load(),
 		RPCsRead:       m.rpcRead.Load(),
@@ -79,7 +76,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 
 // RPCs sums the per-stage RPC counters.
 func (s MetricsSnapshot) RPCs() int64 {
-	return s.RPCsOpen + s.RPCsRows + s.RPCsDeposit + s.RPCsColFFT + s.RPCsRead + s.RPCsClose
+	return s.RPCsOpen + s.RPCsDeposit + s.RPCsColFFT + s.RPCsRead + s.RPCsClose
 }
 
 // countRPC bumps the per-stage counter for sub.
@@ -90,8 +87,6 @@ func (m *Metrics) countRPC(sub uint8) {
 	switch sub {
 	case wire.PencilOpen:
 		m.rpcOpen.Add(1)
-	case wire.PencilRows:
-		m.rpcRows.Add(1)
 	case wire.PencilDeposit:
 		m.rpcDeposit.Add(1)
 	case wire.PencilColFFT:

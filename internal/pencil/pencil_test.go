@@ -291,16 +291,18 @@ func TestRunNodeKillMidTranspose(t *testing.T) {
 	waitGoroutines(t, before, 10*time.Second)
 }
 
-// recordingTransport checks every frame against the coordinator's
-// streaming budget and tracks the deposit and read bytes in flight at
-// once: the samples deposits carry out and reads bring back.
+// recordingTransport counts calls by sub-op, checks every frame against
+// the coordinator's streaming budget and tracks the deposit and read
+// bytes in flight at once: the samples deposits carry out and reads
+// bring back.
 type recordingTransport struct {
 	inner  Transport
 	budget int64 // half the cap, in bytes
 
 	mu       sync.Mutex
 	oversize []string
-	inFlight map[uint8]int64 // by sub-op
+	calls    map[uint8]int64 // by sub-op
+	inFlight map[uint8]int64
 	peak     map[uint8]int64
 }
 
@@ -314,6 +316,7 @@ func (rt *recordingTransport) Call(ctx context.Context, peer string, req, resp *
 		moved = 16 * int64(req.RowN) * int64(req.ColN)
 	}
 	rt.mu.Lock()
+	rt.calls[req.Sub]++
 	if n > rt.budget {
 		rt.oversize = append(rt.oversize, fmt.Sprintf("%s request to %s: %d B", wire.PencilSubName(req.Sub), peer, n))
 	}
@@ -332,16 +335,16 @@ func (rt *recordingTransport) Call(ctx context.Context, peer string, req, resp *
 
 // TestRunOutOfCoreSchedule pins the out-of-core schedule of a 48x48
 // transform on 3 workers under a 4608-byte cap: 5-column bands, 10 of
-// them in 4 waves. Row chunks are sized by half the cap, and so are a
-// wave's deposits together and its gather reads together, so every
-// frame carries at most 2304 B of samples and the run makes 214 RPCs.
-// The result stays bit-identical to Plan2D, and no worker exceeds its
-// cap.
+// them in 4 waves. The coordinator transforms the rows itself, so no
+// rows op crosses the wire. A wave's deposits together and its gather
+// reads together are sized by half the cap, so every frame carries at
+// most 2304 B of samples and the run makes 140 RPCs. The result stays
+// bit-identical to Plan2D, and no worker exceeds its cap.
 func TestRunOutOfCoreSchedule(t *testing.T) {
 	const rows, cols, memCap = 48, 48, 4608
 	cfg, workers := harness(t, 3, memCap)
 	rt := &recordingTransport{inner: cfg.Transport, budget: memCap / 2,
-		inFlight: map[uint8]int64{}, peak: map[uint8]int64{}}
+		calls: map[uint8]int64{}, inFlight: map[uint8]int64{}, peak: map[uint8]int64{}}
 	cfg.Transport = rt
 	m := &Metrics{}
 	cfg.Metrics = m
@@ -352,8 +355,8 @@ func TestRunOutOfCoreSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Waves != 4 || stats.Bands != 10 || stats.BandCols != 5 || stats.ChunkRows != 3 {
-		t.Fatalf("schedule %+v; want 4 waves of 5-column bands, 10 bands, 3-row chunks", stats)
+	if stats.Waves != 4 || stats.Bands != 10 || stats.BandCols != 5 {
+		t.Fatalf("schedule %+v; want 4 waves of 5-column bands, 10 bands", stats)
 	}
 	p, err := fft.NewPlan2D(rows, cols)
 	if err != nil {
@@ -373,13 +376,18 @@ func TestRunOutOfCoreSchedule(t *testing.T) {
 		}
 	}
 	// A full wave stages 9 rows of its 15 columns, the last wave (one
-	// 3-column band) 48 rows. Deposits: per band and slab of 16 rows, a
-	// full wave flushes twice, the last wave once. Reads: 9 rows at a
-	// time take 6 per 5-column band, 1 for the 3-column band.
+	// 3-column band) 48 rows. Deposits and reads alike: 9 rows at a time
+	// take 6 per 5-column band, 1 for the 3-column band.
+	calls := [6]int64{}
+	for i, sub := range []uint8{wire.PencilOpen, wire.PencilRows, wire.PencilDeposit, wire.PencilColFFT, wire.PencilRead, wire.PencilClose} {
+		calls[i] = rt.calls[sub]
+	}
+	if want := [6]int64{10, 0, 55, 10, 55, 10}; calls != want || stats.RPCs != 140 {
+		t.Fatalf("calls open/rows/deposit/colfft/read/close = %v, total %d; want %v, 140", calls, stats.RPCs, want)
+	}
 	snap := m.Snapshot()
-	got := [6]int64{snap.RPCsOpen, snap.RPCsRows, snap.RPCsDeposit, snap.RPCsColFFT, snap.RPCsRead, snap.RPCsClose}
-	if got != [6]int64{10, 72, 57, 10, 55, 10} || stats.RPCs != 214 {
-		t.Fatalf("RPCs open/rows/deposit/colfft/read/close = %v, total %d; want [10 72 57 10 55 10], 214", got, stats.RPCs)
+	if got := [5]int64{snap.RPCsOpen, snap.RPCsDeposit, snap.RPCsColFFT, snap.RPCsRead, snap.RPCsClose}; got != [5]int64{10, 55, 10, 55, 10} {
+		t.Fatalf("metrics RPCs open/deposit/colfft/read/close = %v; want [10 55 10 55 10]", got)
 	}
 	if len(rt.oversize) > 0 {
 		t.Fatalf("frames over the %d B streaming budget: %v", rt.budget, rt.oversize)
@@ -388,6 +396,107 @@ func TestRunOutOfCoreSchedule(t *testing.T) {
 		if pk := rt.peak[sub]; pk <= 0 || pk > rt.budget {
 			t.Fatalf("%s bytes in flight peaked at %d; want (0, %d]", wire.PencilSubName(sub), pk, rt.budget)
 		}
+	}
+}
+
+// TestRunCommFloorIsTwoPasses — the coordinator holds the source and
+// the sink, so every sample crosses the wire exactly twice: once out in
+// a deposit and once back in a read. The floor is 2·16·rows·cols bytes
+// however many waves the run takes, for 2D and 3D shapes alike.
+func TestRunCommFloorIsTwoPasses(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shape  Shape
+		memCap int64
+		ooc    bool
+	}{
+		{"2d one wave", Shape2D(16, 16), 0, false},
+		{"2d out of core", Shape2D(48, 48), 4608, true},
+		{"3d one wave", Shape3D(4, 6, 8), 0, false},
+		{"3d out of core", Shape3D(16, 4, 8), 2048, true},
+	} {
+		cfg, _ := harness(t, 3, tc.memCap)
+		cfg.Shape = tc.shape
+		x := randComplex(tc.shape.Total(), 31)
+		out := make([]complex128, len(x))
+		stats, err := runWithin(t, context.Background(), cfg,
+			SliceSource{Data: x, Cols: tc.shape.Cols}, SliceSink{Data: out, Cols: tc.shape.Cols})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (stats.Waves > 1) != tc.ooc {
+			t.Fatalf("%s: ran in %d waves", tc.name, stats.Waves)
+		}
+		if want := int64(2 * 16 * tc.shape.Total()); stats.CommFloorBytes != want {
+			t.Fatalf("%s: comm floor %d B; want %d (every sample out and back once)", tc.name, stats.CommFloorBytes, want)
+		}
+		want := make([]complex128, len(x))
+		if tc.shape.Dims() == 3 {
+			p, err := fft.NewPlan3D(tc.shape.Rows, tc.shape.PlaneRows, tc.shape.Cols/tc.shape.PlaneRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Transform(want, x)
+		} else {
+			p, err := fft.NewPlan2D(tc.shape.Rows, tc.shape.Cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Transform(want, x)
+		}
+		for i := range out {
+			//fftlint:ignore floatcmp the coordinator's row stage must keep the run bit-identical to the single-node plan
+			if out[i] != want[i] {
+				t.Fatalf("%s: output differs from the single-node plan at %d: %v vs %v", tc.name, i, out[i], want[i])
+			}
+		}
+	}
+}
+
+// TestWorkerServesRowsForOlderCoordinators — Run transforms rows on the
+// coordinator, but a coordinator of an older release still sends its
+// rows to the workers during a rolling upgrade. A worker must answer
+// that op, through the wire codec, bit-identical to the coordinator's
+// own row stage.
+func TestWorkerServesRowsForOlderCoordinators(t *testing.T) {
+	w := NewWorker(WorkerConfig{Plans: plancache.New(8)})
+	tr := NewLocalTransport(true, map[string]*Worker{"old": w})
+	for _, shape := range []Shape{Shape2D(6, 12), Shape2D(5, 16), Shape3D(4, 6, 8)} {
+		for _, inverse := range []bool{false, true} {
+			const rowLo, rowN = 1, 3
+			x := randComplex(rowN*shape.Cols, int64(shape.Cols))
+			req := wire.PencilOp{
+				Sub: wire.PencilRows, Dims: uint8(shape.Dims()),
+				Rows: uint32(shape.Rows), Cols: uint32(shape.Cols), PlaneRows: uint32(shape.PlaneRows),
+				RowLo: rowLo, RowN: rowN, Inverse: inverse, Data: slices.Clone(x),
+			}
+			var resp wire.PencilOp
+			sent, recv, err := tr.Call(context.Background(), "old", &req, &resp)
+			if err != nil {
+				t.Fatalf("%+v inverse=%v: rows op: %v", shape, inverse, err)
+			}
+			if sent == 0 || recv == 0 || resp.RowLo != rowLo || resp.RowN != rowN {
+				t.Fatalf("%+v: answer %d/%d B, rows [%d,+%d)", shape, sent, recv, resp.RowLo, resp.RowN)
+			}
+			rp, err := newRowPlan(freshPlans{}, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := slices.Clone(x)
+			rp.transform(want, inverse)
+			if len(resp.Data) != len(want) {
+				t.Fatalf("%+v: worker returned %d samples, want %d", shape, len(resp.Data), len(want))
+			}
+			for i := range want {
+				//fftlint:ignore floatcmp a worker's row answer must match the coordinator's row stage bit for bit
+				if resp.Data[i] != want[i] {
+					t.Fatalf("%+v inverse=%v: worker row output differs at %d: %v vs %v", shape, inverse, i, resp.Data[i], want[i])
+				}
+			}
+		}
+	}
+	if st := w.Stats(); st.OpenJobs != 0 || st.BytesInUse != 0 {
+		t.Fatalf("stateless rows op left state behind: %+v", st)
 	}
 }
 
@@ -711,32 +820,102 @@ func TestRunAbandonClosesUnansweredOpens(t *testing.T) {
 	}
 }
 
+// TestRunAbandonLateOpenIsRefused — the caller cancels the run as w0's
+// open lands, while w2's open is held back until abandon's close for
+// its job has landed on w2. The open then reaches a worker that was
+// already told to close the job: it must be refused, not hold its band
+// until the TTL.
+func TestRunAbandonLateOpenIsRefused(t *testing.T) {
+	cfg, workers := harness(t, 3, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	closed := make(chan struct{})
+	var closeOnce sync.Once
+	var heldPastClose atomic.Bool
+	lt := &lateTransport{inner: cfg.Transport,
+		before: func(peer string, req *wire.PencilOp) {
+			if req.Sub == wire.PencilOpen && peer == "w2" {
+				select {
+				case <-closed:
+					heldPastClose.Store(true)
+				case <-time.After(10 * time.Second):
+				}
+			}
+		},
+		after: func(peer string, req *wire.PencilOp) {
+			switch {
+			case req.Sub == wire.PencilOpen && peer == "w0":
+				cancel()
+			case req.Sub == wire.PencilClose && peer == "w2":
+				closeOnce.Do(func() { close(closed) })
+			}
+		}}
+	cfg.Transport = lt
+	cfg.Shape = Shape2D(16, 16)
+	x := randComplex(16*16, 5)
+	if _, err := runWithin(t, ctx, cfg, SliceSource{Data: x, Cols: 16}, &countingSink{t: t}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v; want context.Canceled", err)
+	}
+	lt.settle(t)
+	if !heldPastClose.Load() {
+		t.Fatal("w2's open was not held until its close landed")
+	}
+	for name, w := range workers {
+		if st := w.Stats(); st.OpenJobs != 0 || st.BytesInUse != 0 {
+			t.Fatalf("worker %s: %+v; want no band left open", name, st)
+		}
+	}
+	if st := workers["w2"].Stats(); st.Opens != 0 {
+		t.Fatalf("w2 opened a band after its close: %+v", st)
+	}
+}
+
+// TestWorkerLateOpenMemoryIsBounded — the IDs a worker remembers from
+// closes of jobs that never opened are bounded by MaxJobs, the oldest
+// making room, and forgotten after JobTTL.
+func TestWorkerLateOpenMemoryIsBounded(t *testing.T) {
+	w := NewWorker(WorkerConfig{MaxJobs: 2, JobTTL: 100 * time.Millisecond})
+	serve := func(sub uint8, job uint64) error {
+		op := &wire.PencilOp{Sub: sub, Dims: 2, Rows: 4, Cols: 4, ColN: 2, Job: job}
+		var resp wire.PencilOp
+		return w.ServePencil(context.Background(), op, &resp)
+	}
+	for job := uint64(1); job <= 3; job++ {
+		if err := serve(wire.PencilClose, job); err == nil {
+			t.Fatalf("close of never-opened job %d succeeded", job)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	w.mu.Lock()
+	remembered := len(w.closedEarly)
+	w.mu.Unlock()
+	if remembered != 2 {
+		t.Fatalf("worker remembers %d early closes; want MaxJobs = 2", remembered)
+	}
+	if err := serve(wire.PencilOpen, 3); err == nil || IsBusyMsg(err.Error()) {
+		t.Fatalf("late open of closed job 3 = %v; want a non-busy refusal", err)
+	}
+	if err := serve(wire.PencilOpen, 1); err != nil {
+		t.Fatalf("open of job 1, evicted to make room: %v", err)
+	}
+	if err := serve(wire.PencilClose, 1); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(120 * time.Millisecond)
+	if err := serve(wire.PencilOpen, 3); err != nil {
+		t.Fatalf("open of job 3 after its early close expired: %v", err)
+	}
+	if st := w.Stats(); st.OpenJobs != 1 || st.Opens != 2 {
+		t.Fatalf("stats %+v; want jobs 1 and 3 opened, 3 still open", st)
+	}
+}
+
 // TestJobSeqSeededNonZero — workers key band state by job ID alone, so
 // coordinators on different nodes must mint from independent random
 // offsets, not a shared zero origin.
 func TestJobSeqSeededNonZero(t *testing.T) {
 	if jobSeq.Load() == 0 {
 		t.Fatal("jobSeq starts at 0; job IDs must start at a per-process random offset")
-	}
-}
-
-func TestSplitRows(t *testing.T) {
-	for _, tc := range []struct{ rows, p int }{{10, 3}, {3, 5}, {16, 4}, {1, 1}} {
-		slabs := SplitRows(tc.rows, tc.p)
-		if len(slabs) != tc.p {
-			t.Fatalf("SplitRows(%d,%d) len %d", tc.rows, tc.p, len(slabs))
-		}
-		lo, total := 0, 0
-		for _, s := range slabs {
-			if s.Lo != lo || s.Hi < s.Lo {
-				t.Fatalf("SplitRows(%d,%d) = %v not contiguous", tc.rows, tc.p, slabs)
-			}
-			total += s.Hi - s.Lo
-			lo = s.Hi
-		}
-		if total != tc.rows {
-			t.Fatalf("SplitRows(%d,%d) covers %d rows", tc.rows, tc.p, total)
-		}
 	}
 }
 

@@ -1,20 +1,21 @@
 // Package pencil executes one large 2D or 3D FFT partitioned across
-// cluster nodes — the pencil decomposition: every node row-transforms a
-// contiguous slab of rows with the existing split-radix kernels, the
-// row-transformed data is redistributed so each node owns a contiguous
-// band of full-height columns (the distributed transpose — the stage
-// the paper's bisection-bandwidth bound prices), each node runs the
-// column transforms over its band, and the result streams back to the
-// caller's row-major layout.
+// cluster nodes — the pencil decomposition. The coordinator streams the
+// source one row at a time and row-transforms it with the existing
+// split-radix kernels; the row-transformed data is redistributed so each
+// node owns a contiguous band of full-height columns (the distributed
+// transpose — the stage the paper's bisection-bandwidth bound prices),
+// each node runs the column transforms over its band, and the result
+// streams back to the caller's row-major layout. Every sample crosses
+// the wire once out to its band and once back.
 //
 // The package splits into a Worker (the per-node executor serving the
-// wire sub-operations) and a coordinator (Run) that schedules the
-// stages over a Transport. Out-of-core operation falls out of the
-// schedule: when the dataset exceeds the per-node memory cap, the
-// coordinator shrinks the column bands until one band plus scratch fits
-// the cap and runs the bands in waves, re-streaming the source rows for
-// each wave — peak per-node memory stays under the cap at the price of
-// re-reading (and re-row-transforming) the input once per wave.
+// wire sub-operations) and a coordinator (Run) that runs the row stage
+// and schedules the rest over a Transport. Out-of-core operation falls
+// out of the schedule: when the dataset exceeds the per-node memory cap,
+// the coordinator shrinks the column bands until one band plus scratch
+// fits the cap and runs the bands in waves, re-streaming the source rows
+// for each wave — peak per-node memory stays under the cap at the price
+// of re-reading (and re-row-transforming) the input once per wave.
 //
 // Single-node and distributed execution are bit-identical to fft.Plan2D
 // by construction: both run the same plans (built by the same
@@ -67,6 +68,42 @@ type freshPlans struct{}
 
 func (freshPlans) AnyPlan(n int) (*fft.AnyPlan, error)        { return fft.NewAnyPlan(n) }
 func (freshPlans) Plan2D(rows, cols int) (*fft.Plan2D, error) { return fft.NewPlan2D(rows, cols) }
+
+// rowPlan is the row stage's transform: a 1D plan over each row of a 2D
+// shape, or a 2D plan over each x-plane (one flattened row) of a 3D
+// shape. The coordinator and the workers both build it with
+// newRowPlan, so rows transformed on either side are bit-identical.
+type rowPlan struct {
+	cols int
+	t    interface {
+		Transform(dst, src []complex128)
+		Inverse(dst, src []complex128)
+	}
+}
+
+// newRowPlan resolves the row plan for shape s from plans.
+func newRowPlan(plans PlanSource, s Shape) (rowPlan, error) {
+	rp := rowPlan{cols: s.Cols}
+	var err error
+	if s.PlaneRows > 0 {
+		rp.t, err = plans.Plan2D(s.PlaneRows, s.Cols/s.PlaneRows)
+	} else {
+		rp.t, err = plans.AnyPlan(s.Cols)
+	}
+	return rp, err
+}
+
+// transform row-transforms data, a whole number of rows, in place.
+func (p rowPlan) transform(data []complex128, inverse bool) {
+	for lo := 0; lo < len(data); lo += p.cols {
+		row := data[lo : lo+p.cols]
+		if inverse {
+			p.t.Inverse(row, row)
+		} else {
+			p.t.Transform(row, row)
+		}
+	}
+}
 
 // WorkerConfig bounds one node's pencil executor.
 type WorkerConfig struct {
@@ -122,6 +159,12 @@ type Worker struct {
 	jobs  map[uint64]*wjob
 	inUse int64
 	peak  int64
+	// closedEarly maps the IDs of jobs closed before they opened to when
+	// the worker forgets them: an open that lands after its close (the
+	// coordinator gave up while the open was in flight) is refused
+	// instead of holding its band until JobTTL. At most MaxJobs entries;
+	// nil until the first such close.
+	closedEarly map[uint64]time.Time
 
 	opens, expired, rejected int64 // guarded by mu
 }
@@ -158,15 +201,20 @@ func (w *Worker) Stats() WorkerStats {
 	}
 }
 
-// sweepLocked drops expired jobs. Called with w.mu held on every
-// stateful op, so an orphaned band cannot outlive its TTL by more than
-// one op's arrival — no background goroutine needed.
+// sweepLocked drops expired jobs and early-close records. Called with
+// w.mu held on every stateful op, so an orphaned band cannot outlive its
+// TTL by more than one op's arrival — no background goroutine needed.
 func (w *Worker) sweepLocked(now time.Time) {
 	for id, j := range w.jobs {
 		if now.After(j.expires) {
 			delete(w.jobs, id)
 			w.inUse -= j.need
 			w.expired++
+		}
+	}
+	for id, exp := range w.closedEarly {
+		if now.After(exp) {
+			delete(w.closedEarly, id)
 		}
 	}
 }
@@ -238,6 +286,9 @@ func (w *Worker) open(op *wire.PencilOp) error {
 	if _, ok := w.jobs[op.Job]; ok {
 		return fmt.Errorf("pencil: job %d already open", op.Job)
 	}
+	if _, ok := w.closedEarly[op.Job]; ok {
+		return fmt.Errorf("pencil: job %d was closed before it opened", op.Job)
+	}
 	if len(w.jobs) >= w.cfg.MaxJobs {
 		w.rejected++
 		return fmt.Errorf("%s %d jobs already open", busyPrefix, len(w.jobs))
@@ -292,9 +343,10 @@ func (w *Worker) lookup(id uint64) (*wjob, error) {
 // rows row-transforms the carried slab in place: RowN full rows for 2D,
 // RowN x-planes (each PlaneRows x Cols/PlaneRows) for 3D. Stateless —
 // it touches no job and charges nothing against the cap beyond the
-// frame the transport already holds.
+// frame the transport already holds. Run transforms rows itself, so only
+// coordinators of older releases send this op.
 func (w *Worker) rows(op, resp *wire.PencilOp) error {
-	_, cols, err := checkShape(op)
+	rows, cols, err := checkShape(op)
 	if err != nil {
 		return err
 	}
@@ -302,34 +354,15 @@ func (w *Worker) rows(op, resp *wire.PencilOp) error {
 	if n < 1 || len(op.Data) != n*cols {
 		return fmt.Errorf("pencil: rows op carries %d samples, want %d x %d", len(op.Data), n, cols)
 	}
+	shape := Shape2D(rows, cols)
 	if op.Dims == 3 {
-		pr := int(op.PlaneRows)
-		p2, err := w.cfg.Plans.Plan2D(pr, cols/pr)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			plane := op.Data[i*cols : (i+1)*cols]
-			if op.Inverse {
-				p2.Inverse(plane, plane)
-			} else {
-				p2.Transform(plane, plane)
-			}
-		}
-	} else {
-		rowT, err := w.cfg.Plans.AnyPlan(cols)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			row := op.Data[i*cols : (i+1)*cols]
-			if op.Inverse {
-				rowT.Inverse(row, row)
-			} else {
-				rowT.Transform(row, row)
-			}
-		}
+		shape.PlaneRows = int(op.PlaneRows)
 	}
+	rp, err := newRowPlan(w.cfg.Plans, shape)
+	if err != nil {
+		return err
+	}
+	rp.transform(op.Data, op.Inverse)
 	resp.Data = op.Data
 	return nil
 }
@@ -391,12 +424,30 @@ func (w *Worker) read(op, resp *wire.PencilOp) error {
 	return nil
 }
 
-// close frees the band.
+// close frees the band. Closing a job that is not open records its ID,
+// so that an open for it landing later is refused; when MaxJobs IDs are
+// already recorded, the one that expires first makes room.
 func (w *Worker) close(op *wire.PencilOp) error {
+	now := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	j, ok := w.jobs[op.Job]
 	if !ok {
+		w.sweepLocked(now)
+		if w.closedEarly == nil {
+			w.closedEarly = make(map[uint64]time.Time)
+		}
+		if len(w.closedEarly) >= w.cfg.MaxJobs {
+			var first uint64
+			var firstExp time.Time
+			for id, exp := range w.closedEarly {
+				if firstExp.IsZero() || exp.Before(firstExp) {
+					first, firstExp = id, exp
+				}
+			}
+			delete(w.closedEarly, first)
+		}
+		w.closedEarly[op.Job] = now.Add(w.cfg.JobTTL)
 		return fmt.Errorf("%s job %d expired or not open", busyPrefix, op.Job)
 	}
 	delete(w.jobs, op.Job)

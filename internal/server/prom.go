@@ -160,7 +160,6 @@ func (m *Metrics) writePrometheus(w io.Writer, s Snapshot) error {
 			v     int64
 		}{
 			{"open", p.RPCsOpen},
-			{"rows", p.RPCsRows},
 			{"deposit", p.RPCsDeposit},
 			{"colfft", p.RPCsColFFT},
 			{"read", p.RPCsRead},
