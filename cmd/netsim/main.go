@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -28,7 +29,6 @@ import (
 	"repro/internal/parfft"
 	"repro/internal/permute"
 	"repro/internal/report"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -38,7 +38,7 @@ func main() {
 	scenario := flag.String("scenario", "fft", "scenario: fft, fft2d, fourstep, blocked, bitreversal, random, valiant, deflect, bitonic, traffic")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS)")
-	showSchedule := flag.Bool("schedule", false, "print the operation-level schedule trace")
+	showSchedule := flag.Bool("schedule", false, "print the operation-level schedule: every machine operation with its step cost")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON span trace to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -60,7 +60,7 @@ func main() {
 		}()
 	}
 
-	err := run(*network, *n, *wrap, *scenario, *seed, *workers, *showSchedule, *traceOut)
+	err := run(os.Stdout, *network, *n, *wrap, *scenario, *seed, *workers, *showSchedule, *traceOut)
 
 	if *memProfile != "" {
 		f, ferr := os.Create(*memProfile)
@@ -148,29 +148,37 @@ func buildFloat(network string, n int, wrap bool, cfg netsim.Config) (netsim.Mac
 	}
 }
 
-func run(network string, n int, wrap bool, scenario string, seed int64, workers int, showSchedule bool, traceOut string) error {
-	rng := rand.New(rand.NewSource(seed))
-	var rec *trace.Recorder
-	if showSchedule {
-		rec = trace.NewRecorder()
+// writeSchedule lists the machine operations the tracer saw, in the
+// order they started: index, operation, detail and step cost.
+func writeSchedule(w io.Writer, tr *obs.Tracer) {
+	fmt.Fprintln(w, "\nschedule trace:")
+	i := 0
+	for _, s := range tr.Snapshot() {
+		if s.Cat == obs.CatNetsim {
+			fmt.Fprintf(w, "%4d  %-12s %-28s %d step(s)\n", i, s.Name, s.Detail, s.Steps)
+			i++
+		}
 	}
+}
+
+// run executes one scenario and writes its report, and the schedule
+// when asked for, to w.
+func run(w io.Writer, network string, n int, wrap bool, scenario string, seed int64, workers int, showSchedule bool, traceOut string) error {
+	rng := rand.New(rand.NewSource(seed))
 	var tr *obs.Tracer
-	if traceOut != "" {
+	if showSchedule || traceOut != "" {
 		tr = obs.New()
 	}
-	cfg := netsim.Config{Workers: workers, Trace: rec, Obs: tr}
+	cfg := netsim.Config{Workers: workers, Obs: tr}
 	defer func() {
-		if rec != nil {
-			fmt.Println("\nschedule trace:")
-			if _, err := rec.WriteTo(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "netsim: trace: %v\n", err)
-			}
+		if showSchedule {
+			writeSchedule(w, tr)
 		}
-		if tr != nil {
+		if traceOut != "" {
 			if err := writeChromeTrace(tr, traceOut); err != nil {
 				fmt.Fprintf(os.Stderr, "netsim: trace: %v\n", err)
 			} else {
-				fmt.Printf("wrote span trace to %s (load in chrome://tracing or Perfetto)\n", traceOut)
+				fmt.Fprintf(w, "wrote span trace to %s (load in chrome://tracing or Perfetto)\n", traceOut)
 			}
 		}
 	}()
@@ -200,7 +208,7 @@ func run(network string, n int, wrap bool, scenario string, seed int64, workers 
 		t.MustAddRow("BSP lower bound (bytes)", fmt.Sprintf("%.0f", roofline.ButterflyBytes(n, n, netsim.WordBytes)))
 		t.MustAddRow("comm roofline (achieved/optimal)", fmt.Sprintf("%.2fx", netsim.CommRoofline(n, st)))
 		t.MustAddRow("max |error| vs serial FFT", fmt.Sprintf("%.3g", diff))
-		return t.Render(os.Stdout)
+		return t.Render(w)
 
 	case "bitreversal", "random":
 		m, err := buildComplex(network, n, wrap, cfg)
@@ -234,7 +242,7 @@ func run(network string, n int, wrap bool, scenario string, seed int64, workers 
 		t.MustAddRow("data-transfer steps (makespan)", fmt.Sprintf("%d", steps))
 		t.MustAddRow("total link traversals", fmt.Sprintf("%d", s.LinkTraversals))
 		t.MustAddRow("max queue length", fmt.Sprintf("%d", s.MaxQueue))
-		return t.Render(os.Stdout)
+		return t.Render(w)
 
 	case "bitonic":
 		m, err := buildFloat(network, n, wrap, cfg)
@@ -259,7 +267,7 @@ func run(network string, n int, wrap bool, scenario string, seed int64, workers 
 		t.MustAddRow("compare-exchange stages", fmt.Sprintf("%d", res.ComputeSteps))
 		t.MustAddRow("data-transfer steps", fmt.Sprintf("%d", res.TransferSteps))
 		t.MustAddRow("sorted", "yes (verified)")
-		return t.Render(os.Stdout)
+		return t.Render(w)
 
 	case "fft2d", "fourstep":
 		m, err := buildComplex(network, n, wrap, cfg)
@@ -296,7 +304,7 @@ func run(network string, n int, wrap bool, scenario string, seed int64, workers 
 			t.MustAddRow("reorder data-transfer steps", fmt.Sprintf("%d", res.ReorderSteps))
 			t.MustAddRow("max |error| vs serial FFT", fmt.Sprintf("%.3g", fft.MaxAbsDiff(res.Output, want)))
 		}
-		return t.Render(os.Stdout)
+		return t.Render(w)
 
 	case "blocked":
 		m, err := buildComplex(network, 256, wrap, cfg) // 256-PE machine
@@ -318,7 +326,7 @@ func run(network string, n int, wrap bool, scenario string, seed int64, workers 
 		t.MustAddRow("remote butterfly steps", fmt.Sprintf("%d", res.ButterflySteps))
 		t.MustAddRow("bit-reversal steps", fmt.Sprintf("%d", res.BitReversalSteps))
 		t.MustAddRow("max |error| vs serial FFT", fmt.Sprintf("%.3g", fft.MaxAbsDiff(res.Output, want)))
-		return t.Render(os.Stdout)
+		return t.Render(w)
 
 	case "valiant":
 		if network != "hypercube" {
@@ -350,7 +358,7 @@ func run(network string, n int, wrap bool, scenario string, seed int64, workers 
 		t := report.New(fmt.Sprintf("random permutation on %d-node hypercube", n), "router", "steps")
 		t.MustAddRow("greedy e-cube", fmt.Sprintf("%d", greedy))
 		t.MustAddRow("valiant two-phase", fmt.Sprintf("%d", steps))
-		return t.Render(os.Stdout)
+		return t.Render(w)
 
 	case "deflect":
 		d, err := netsim.NewDeflectionMesh(isqrt(n))
@@ -367,7 +375,7 @@ func run(network string, n int, wrap bool, scenario string, seed int64, workers 
 		t.MustAddRow("cycles (makespan)", fmt.Sprintf("%d", res.Cycles))
 		t.MustAddRow("total hops", fmt.Sprintf("%d", res.TotalHops))
 		t.MustAddRow("deflections", fmt.Sprintf("%d", res.Deflections))
-		return t.Render(os.Stdout)
+		return t.Render(w)
 
 	case "traffic":
 		opts := netsim.TrafficOptions{Rate: 0.2, Warmup: 200, Measure: 800, Seed: seed}
@@ -392,7 +400,7 @@ func run(network string, n int, wrap bool, scenario string, seed int64, workers 
 		t.MustAddRow("average latency (steps)", fmt.Sprintf("%.2f", res.AvgLatency))
 		t.MustAddRow("max queue", fmt.Sprintf("%d", res.MaxQueue))
 		t.MustAddRow("in flight at end", fmt.Sprintf("%d", res.InFlight))
-		return t.Render(os.Stdout)
+		return t.Render(w)
 
 	default:
 		return fmt.Errorf("unknown scenario %q", scenario)

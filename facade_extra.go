@@ -2,8 +2,8 @@ package hypermeshfft
 
 // This file extends the public facade with the library's second tier:
 // arbitrary-length transforms, convolution, the ASCEND/DESCEND algorithm
-// family, the four-step FFT, alternative routing disciplines and the
-// trace/recorder facilities. The core surface lives in hypermeshfft.go.
+// family, the four-step FFT, alternative routing disciplines and span
+// tracing. The core surface lives in hypermeshfft.go.
 
 import (
 	"cmp"
@@ -19,9 +19,9 @@ import (
 	"repro/internal/fft"
 	"repro/internal/layout"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/parfft"
 	"repro/internal/perfmodel"
-	"repro/internal/trace"
 )
 
 // ---- Arbitrary-length transforms ----
@@ -134,12 +134,14 @@ func NewWormholeMesh(side int, wrap bool, flits int) (*WormholeMesh, error) {
 
 // ---- Tracing ----
 
-// TraceRecorder records every machine operation with its step cost;
-// pass one in SimConfig.Trace.
-type TraceRecorder = trace.Recorder
+// Tracer collects timed spans. Passed as SimConfig.Obs it reports every
+// machine operation once, with its step cost, as a span of category
+// "netsim"; passed as FFTOptions.Tracer it adds the distributed FFT's
+// phases.
+type Tracer = obs.Tracer
 
-// NewTraceRecorder creates an empty trace recorder.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
+// NewTracer creates an empty tracer.
+func NewTracer() *Tracer { return obs.New() }
 
 // ---- Extended performance model ----
 

@@ -153,8 +153,8 @@ func TestFacadeRoutingDisciplines(t *testing.T) {
 }
 
 func TestFacadeTracing(t *testing.T) {
-	rec := NewTraceRecorder()
-	m, err := NewHypermeshMachineOf[complex128](8, 2, SimConfig{Trace: rec})
+	tr := NewTracer()
+	m, err := NewHypermeshMachineOf[complex128](8, 2, SimConfig{Obs: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestFacadeTracing(t *testing.T) {
 	if _, err := DistributedFFT(m, x, FFTOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
-		t.Fatal("trace recorded nothing")
+	if tr.Len() == 0 {
+		t.Fatal("tracer recorded nothing")
 	}
-	if rec.TotalSteps() != m.Stats().Steps {
-		t.Fatalf("trace %d steps, machine %d", rec.TotalSteps(), m.Stats().Steps)
+	if got := tr.StepsByCat()["netsim"]; got != m.Stats().Steps {
+		t.Fatalf("netsim spans %d steps, machine %d", got, m.Stats().Steps)
 	}
 }
 

@@ -36,92 +36,15 @@ type Phases struct {
 }
 
 // Decompose factors an arbitrary permutation p of n = b*b elements into
-// three hypermesh phases. It returns an error if p is not a valid
-// permutation of size b*b.
+// three hypermesh phases: DecomposeND on a 2D hypermesh, whose phases
+// 0, 1 and 2 are Row1, Col and Row2. It returns an error if p is not a
+// valid permutation of size b*b.
 func Decompose(b int, p permute.Permutation) (*Phases, error) {
-	if b < 1 {
-		return nil, fmt.Errorf("clos: base %d < 1", b)
+	phases, err := DecomposeND(b, 2, p)
+	if err != nil {
+		return nil, err
 	}
-	n := b * b
-	if len(p) != n {
-		return nil, fmt.Errorf("clos: permutation size %d does not match b^2 = %d", len(p), n)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("clos: %w", err)
-	}
-
-	// Multiplicity matrix: mult[r0][r2] = number of packets from source
-	// row r0 bound for destination row r2. Every row and column of mult
-	// sums to b, so Birkhoff–von Neumann applies.
-	mult := make([][]int, b)
-	for i := range mult {
-		mult[i] = make([]int, b)
-	}
-	for src, dst := range p {
-		mult[src/b][dst/b]++
-	}
-
-	// Repeatedly extract perfect matchings; matching k assigns
-	// intermediate column k to one packet of each source row.
-	// color[r0][r2] collects the colours available for (r0 -> r2)
-	// packets; duplicates (several packets with the same source and
-	// destination row) consume colours in extraction order.
-	colors := make([][][]int, b)
-	for i := range colors {
-		colors[i] = make([][]int, b)
-	}
-	work := make([][]int, b)
-	for i := range work {
-		work[i] = append([]int(nil), mult[i]...)
-	}
-	for k := 0; k < b; k++ {
-		match, ok := perfectMatching(work)
-		if !ok {
-			// Cannot happen for a valid permutation (Hall's condition is
-			// implied by the doubly-balanced multiplicity matrix); guard
-			// anyway so corruption fails loudly.
-			return nil, fmt.Errorf("clos: internal error: no perfect matching at colour %d", k)
-		}
-		for r0, r2 := range match {
-			work[r0][r2]--
-			colors[r0][r2] = append(colors[r0][r2], k)
-		}
-	}
-
-	// Assign each packet its intermediate column and derive the three
-	// phase permutations.
-	ph := &Phases{
-		B:    b,
-		Row1: identityRows(b),
-		Col:  identityRows(b),
-		Row2: identityRows(b),
-	}
-	next := make([][]int, b) // per (r0, r2): index of next unused colour
-	for i := range next {
-		next[i] = make([]int, b)
-	}
-	for src, dst := range p {
-		r0, c0 := src/b, src%b
-		r2, c2 := dst/b, dst%b
-		ci := next[r0][r2]
-		next[r0][r2]++
-		c1 := colors[r0][r2][ci]
-		ph.Row1[r0][c0] = c1
-		ph.Col[c1][r0] = r2
-		ph.Row2[r2][c1] = c2
-	}
-	return ph, nil
-}
-
-func identityRows(b int) [][]int {
-	rows := make([][]int, b)
-	for i := range rows {
-		rows[i] = make([]int, b)
-		for j := range rows[i] {
-			rows[i][j] = j
-		}
-	}
-	return rows
+	return &Phases{B: b, Row1: phases[0].Perms, Col: phases[1].Perms, Row2: phases[2].Perms}, nil
 }
 
 // perfectMatching finds a perfect matching in the bipartite multigraph

@@ -72,29 +72,26 @@ func decomposeRec(b, dims int, p []int) ([]NetPhase, error) {
 	for src, dst := range p {
 		mult[src/b][dst/b]++
 	}
+	classes, err := colourClasses(mult, b)
+	if err != nil {
+		return nil, err
+	}
+	// colors[sRest][dRest] lists the colours of the sRest -> dRest
+	// edges; parallel edges consume them in colour order.
 	colors := make([][][]int, r)
 	for i := range colors {
 		colors[i] = make([][]int, r)
 	}
-	work := make([][]int, r)
-	for i := range work {
-		work[i] = append([]int(nil), mult[i]...)
-	}
-	for c := 0; c < b; c++ {
-		match, ok := perfectMatching(work)
-		if !ok {
-			return nil, fmt.Errorf("clos: internal error: no perfect matching at colour %d (dims %d)", c, dims)
-		}
+	for c, match := range classes {
 		for sRest, dRest := range match {
-			work[sRest][dRest]--
 			colors[sRest][dRest] = append(colors[sRest][dRest], c)
 		}
 	}
 
 	// Assign every packet its slice and derive the outer phases plus the
 	// per-slice sub-permutations.
-	first := NetPhase{Dim: 0, Perms: identityRows2(r, b)}
-	last := NetPhase{Dim: 0, Perms: identityRows2(r, b)}
+	first := NetPhase{Dim: 0, Perms: identityRows(r, b)}
+	last := NetPhase{Dim: 0, Perms: identityRows(r, b)}
 	subPerms := make([][]int, b) // subPerms[c][srcRest] = dstRest
 	for c := range subPerms {
 		subPerms[c] = make([]int, r)
@@ -157,7 +154,7 @@ func decomposeRec(b, dims int, p []int) ([]NetPhase, error) {
 	return phases, nil
 }
 
-func identityRows2(rows, width int) [][]int {
+func identityRows(rows, width int) [][]int {
 	out := make([][]int, rows)
 	for i := range out {
 		out[i] = make([]int, width)
@@ -225,8 +222,7 @@ func CountSteps(phases []NetPhase) int {
 // all-to-all word redistribution as d one-word-per-node permutations.
 func DecomposeMultigraph(mult [][]int, d int) ([]permute.Permutation, error) {
 	r := len(mult)
-	work := make([][]int, r)
-	for i := range work {
+	for i := range mult {
 		if len(mult[i]) != r {
 			return nil, fmt.Errorf("clos: multigraph matrix is not square")
 		}
@@ -240,7 +236,6 @@ func DecomposeMultigraph(mult [][]int, d int) ([]permute.Permutation, error) {
 		if rowSum != d {
 			return nil, fmt.Errorf("clos: row %d sums to %d, want %d", i, rowSum, d)
 		}
-		work[i] = append([]int(nil), mult[i]...)
 	}
 	for j := 0; j < r; j++ {
 		colSum := 0
@@ -251,18 +246,32 @@ func DecomposeMultigraph(mult [][]int, d int) ([]permute.Permutation, error) {
 			return nil, fmt.Errorf("clos: column %d sums to %d, want %d", j, colSum, d)
 		}
 	}
-	out := make([]permute.Permutation, 0, d)
-	for c := 0; c < d; c++ {
+	return colourClasses(mult, d)
+}
+
+// colourClasses edge-colours the d-regular bipartite multigraph
+// mult[i][j] (parallel edges from left vertex i to right vertex j) with
+// d colours by extracting d perfect matchings in turn (Birkhoff–von
+// Neumann via Hall's theorem); colour c's matching sends left vertex i
+// to right vertex classes[c][i]. Every row and column of mult must sum
+// to d; mult is left unchanged.
+func colourClasses(mult [][]int, d int) ([]permute.Permutation, error) {
+	work := make([][]int, len(mult))
+	for i := range work {
+		work[i] = append([]int(nil), mult[i]...)
+	}
+	classes := make([]permute.Permutation, d)
+	for c := range classes {
 		match, ok := perfectMatching(work)
 		if !ok {
-			return nil, fmt.Errorf("clos: no perfect matching at round %d", c)
+			// Cannot happen for a d-regular multigraph (Hall's condition
+			// holds); guard anyway so corruption fails loudly.
+			return nil, fmt.Errorf("clos: no perfect matching at colour %d", c)
 		}
-		p := make(permute.Permutation, r)
 		for i, j := range match {
 			work[i][j]--
-			p[i] = j
 		}
-		out = append(out, p)
+		classes[c] = match
 	}
-	return out, nil
+	return classes, nil
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/bits"
+	"repro/internal/obs"
 	"repro/internal/permute"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // Hypercube is a simulated SIMD machine on a binary hypercube of
@@ -78,7 +78,7 @@ func (h *Hypercube[T]) ExchangeCompute(bit int, f func(self, partner T, node int
 			return fmt.Errorf("netsim: exchange on dimension %d blocked by failed link at node %d", bit, link.low)
 		}
 	}
-	sp := h.cfg.opSpan("exchange")
+	sp := h.cfg.Obs.StartUnder("exchange").SetCat(obs.CatNetsim)
 	exchangeCompute(h.vals, h.exOld, h.cfg.workers(), func(i int) int {
 		return bits.FlipBit(i, bit)
 	}, f)
@@ -86,10 +86,8 @@ func (h *Hypercube[T]) ExchangeCompute(bit int, f func(self, partner T, node int
 	h.stats.ComputeSteps++
 	h.stats.LinkTraversals += h.Nodes()
 	h.stats.Words += h.Nodes()
-	if h.cfg.traceEnabled() {
-		detail := fmt.Sprintf("bit %d", bit)
-		h.cfg.Trace.Record(h.Name(), trace.OpExchange, detail, 1)
-		sp.SetDetail(detail).AddSteps(1)
+	if sp != nil {
+		sp.SetDetail(fmt.Sprintf("bit %d", bit)).AddSteps(1)
 	}
 	sp.End()
 	return nil
@@ -119,7 +117,8 @@ func (h *Hypercube[T]) Route(p permute.Permutation) (int, error) {
 	}
 	n := h.Nodes()
 	dims := h.topo.Dims
-	sp := h.cfg.opSpan("route")
+	sp := h.cfg.Obs.StartUnder("route").SetCat(obs.CatNetsim)
+	defer sp.End()
 
 	// nextDim returns the lowest dimension in which cur and dst differ,
 	// or -1 when cur == dst.
@@ -196,8 +195,7 @@ func (h *Hypercube[T]) Route(p permute.Permutation) (int, error) {
 	h.rarr = arrivals // keep the grown capacity for the next call
 	copy(h.vals, out)
 	h.stats.Steps += steps
-	h.cfg.Trace.Record(h.Name(), trace.OpRoute, "greedy e-cube", steps)
-	sp.SetDetail("greedy e-cube").AddSteps(steps).End()
+	sp.SetDetail("greedy e-cube").AddSteps(steps)
 	return steps, nil
 }
 
@@ -269,16 +267,9 @@ func (h *Hypercube[T]) RouteBitPermutation(bp []int) (int, error) {
 		// receive bit value target; repeating left to right settles one
 		// position per transposition.
 		p := pos[target]
-		sp := h.cfg.opSpan("bit-swap")
 		if err := h.swapAddressBits(target, p); err != nil {
 			return steps, err
 		}
-		if h.cfg.traceEnabled() {
-			detail := fmt.Sprintf("bits %d<->%d", target, p)
-			h.cfg.Trace.Record(h.Name(), trace.OpBitSwap, detail, 2)
-			sp.SetDetail(detail).AddSteps(2)
-		}
-		sp.End()
 		steps += 2
 		// Update bookkeeping: values at positions target and p swap.
 		cur[target], cur[p] = cur[p], cur[target]
@@ -291,11 +282,14 @@ func (h *Hypercube[T]) RouteBitPermutation(bp []int) (int, error) {
 
 // swapAddressBits exchanges address bits lo and hi of every register's
 // location in two conflict-free steps (the Slepian-style transit
-// schedule described at RouteBitPermutation).
+// schedule described at RouteBitPermutation), reported as one
+// "bit-swap" span.
 func (h *Hypercube[T]) swapAddressBits(lo, hi int) error {
 	if lo == hi {
 		return nil
 	}
+	sp := h.cfg.Obs.StartUnder("bit-swap").SetCat(obs.CatNetsim)
+	defer sp.End()
 	n := h.Nodes()
 	// Step 1: movers (bit lo != bit hi) send their register across
 	// dimension lo; each receiver is a stayer and buffers one packet.
@@ -332,5 +326,8 @@ func (h *Hypercube[T]) swapAddressBits(lo, hi int) error {
 		}
 	}
 	h.vals, h.swapBuf = next, h.vals
+	if sp != nil {
+		sp.SetDetail(fmt.Sprintf("bits %d<->%d", lo, hi)).AddSteps(2)
+	}
 	return nil
 }

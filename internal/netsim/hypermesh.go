@@ -5,9 +5,9 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/clos"
+	"repro/internal/obs"
 	"repro/internal/permute"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // Hypermesh is a simulated SIMD machine on a base-b n-dimensional
@@ -81,7 +81,7 @@ func (h *Hypermesh[T]) ExchangeCompute(bit int, f func(self, partner T, node int
 	if bit < 0 || bit >= total {
 		return fmt.Errorf("netsim: hypermesh exchange bit %d out of range [0,%d)", bit, total)
 	}
-	sp := h.cfg.opSpan("exchange")
+	sp := h.cfg.Obs.StartUnder("exchange").SetCat(obs.CatNetsim)
 	exchangeCompute(h.vals, h.exOld, h.cfg.workers(), func(i int) int {
 		return bits.FlipBit(i, bit)
 	}, f)
@@ -89,10 +89,8 @@ func (h *Hypermesh[T]) ExchangeCompute(bit int, f func(self, partner T, node int
 	h.stats.ComputeSteps++
 	h.stats.LinkTraversals += h.Nodes()
 	h.stats.Words += h.Nodes()
-	if h.cfg.traceEnabled() {
-		detail := fmt.Sprintf("bit %d", bit)
-		h.cfg.Trace.Record(h.Name(), trace.OpExchange, detail, 1)
-		sp.SetDetail(detail).AddSteps(1)
+	if sp != nil {
+		sp.SetDetail(fmt.Sprintf("bit %d", bit)).AddSteps(1)
 	}
 	sp.End()
 	return nil
@@ -148,7 +146,8 @@ func (h *Hypermesh[T]) PermuteNets(dim int, perms [][]int) error {
 	if len(perms) != perDim {
 		return fmt.Errorf("netsim: PermuteNets wants %d per-net permutations, got %d", perDim, len(perms))
 	}
-	sp := h.cfg.opSpan("net-permute")
+	sp := h.cfg.Obs.StartUnder("net-permute").SetCat(obs.CatNetsim)
+	defer sp.End()
 	if h.pmBuf == nil {
 		h.pmBuf = make([]T, h.Nodes())
 	}
@@ -171,12 +170,9 @@ func (h *Hypermesh[T]) PermuteNets(dim int, perms [][]int) error {
 	}
 	h.vals, h.pmBuf = next, h.vals
 	h.stats.Steps++
-	if h.cfg.traceEnabled() {
-		detail := fmt.Sprintf("dimension %d", dim)
-		h.cfg.Trace.Record(h.Name(), trace.OpNetPermute, detail, 1)
-		sp.SetDetail(detail).AddSteps(1)
+	if sp != nil {
+		sp.SetDetail(fmt.Sprintf("dimension %d", dim)).AddSteps(1)
 	}
-	sp.End()
 	return nil
 }
 
@@ -208,7 +204,7 @@ func (h *Hypermesh[T]) Route(p permute.Permutation) (int, error) {
 	// The route span carries no step cost of its own: the per-phase
 	// net-permute spans it encloses own the steps, so summing step costs
 	// over spans never double-counts.
-	sp := h.cfg.opSpan("route").SetDetail("rearrangeable decomposition")
+	sp := h.cfg.Obs.StartUnder("route").SetCat(obs.CatNetsim).SetDetail("rearrangeable decomposition")
 	defer sp.End()
 	prev := h.cfg.Obs.SetParent(sp)
 	defer h.cfg.Obs.SetParent(prev)

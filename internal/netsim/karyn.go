@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/bits"
+	"repro/internal/obs"
 	"repro/internal/permute"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // KAryNCube is a simulated SIMD machine on a k-ary n-cube (an
@@ -88,7 +88,7 @@ func (k *KAryNCube[T]) ExchangeCompute(bit int, f func(self, partner T, node int
 	if w := k.topo.Radix - d; w < d {
 		d = w
 	}
-	sp := k.cfg.opSpan("exchange")
+	sp := k.cfg.Obs.StartUnder("exchange").SetCat(obs.CatNetsim)
 	exchangeCompute(k.vals, k.exOld, k.cfg.workers(), func(i int) int {
 		return bits.FlipBit(i, bit)
 	}, f)
@@ -96,10 +96,8 @@ func (k *KAryNCube[T]) ExchangeCompute(bit int, f func(self, partner T, node int
 	k.stats.ComputeSteps++
 	k.stats.LinkTraversals += d * k.Nodes()
 	k.stats.Words += k.Nodes()
-	if k.cfg.traceEnabled() {
-		detail := fmt.Sprintf("bit %d (ring distance %d)", bit, d)
-		k.cfg.Trace.Record(k.Name(), trace.OpExchange, detail, d)
-		sp.SetDetail(detail).AddSteps(d)
+	if sp != nil {
+		sp.SetDetail(fmt.Sprintf("bit %d (ring distance %d)", bit, d)).AddSteps(d)
 	}
 	sp.End()
 	return nil
@@ -128,7 +126,8 @@ func (k *KAryNCube[T]) Route(p permute.Permutation) (int, error) {
 	n := k.Nodes()
 	dims := k.topo.Dims
 	radix := k.topo.Radix
-	sp := k.cfg.opSpan("route")
+	sp := k.cfg.Obs.StartUnder("route").SetCat(obs.CatNetsim)
+	defer sp.End()
 	// Ports: 2 per dimension (+ and - ring directions).
 	numPorts := 2 * dims
 
@@ -223,7 +222,6 @@ func (k *KAryNCube[T]) Route(p permute.Permutation) (int, error) {
 	k.rarr = arrivals // keep the grown capacity for the next call
 	copy(k.vals, out)
 	k.stats.Steps += steps
-	k.cfg.Trace.Record(k.Name(), trace.OpRoute, "dimension-order torus", steps)
-	sp.SetDetail("dimension-order torus").AddSteps(steps).End()
+	sp.SetDetail("dimension-order torus").AddSteps(steps)
 	return steps, nil
 }

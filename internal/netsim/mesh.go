@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/bits"
+	"repro/internal/obs"
 	"repro/internal/permute"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // Mesh is a simulated SIMD machine on a 2D mesh (or torus) with a
@@ -86,7 +86,7 @@ func (m *Mesh[T]) ExchangeCompute(bit int, f func(self, partner T, node int) T) 
 		return err
 	}
 
-	sp := m.cfg.opSpan("exchange")
+	sp := m.cfg.Obs.StartUnder("exchange").SetCat(obs.CatNetsim)
 	exchangeCompute(m.vals, m.exOld, m.cfg.workers(), func(i int) int {
 		return bits.FlipBit(i, bit)
 	}, f)
@@ -94,10 +94,8 @@ func (m *Mesh[T]) ExchangeCompute(bit int, f func(self, partner T, node int) T) 
 	m.stats.ComputeSteps++
 	m.stats.LinkTraversals += d * m.Nodes()
 	m.stats.Words += m.Nodes()
-	if m.cfg.traceEnabled() {
-		detail := fmt.Sprintf("bit %d (distance %d)", bit, d)
-		m.cfg.Trace.Record(m.Name(), trace.OpExchange, detail, d)
-		sp.SetDetail(detail).AddSteps(d)
+	if sp != nil {
+		sp.SetDetail(fmt.Sprintf("bit %d (distance %d)", bit, d)).AddSteps(d)
 	}
 	sp.End()
 	return nil
@@ -241,7 +239,8 @@ func (m *Mesh[T]) Route(p permute.Permutation) (int, error) {
 		return r*side + c
 	}
 
-	sp := m.cfg.opSpan("route")
+	sp := m.cfg.Obs.StartUnder("route").SetCat(obs.CatNetsim)
+	defer sp.End()
 
 	// Reuse the routing slabs across calls; every destination receives
 	// exactly one packet, so out needs no clearing between permutations.
@@ -314,8 +313,7 @@ func (m *Mesh[T]) Route(p permute.Permutation) (int, error) {
 	m.rarr = arrivals // keep the grown capacity for the next call
 	copy(m.vals, out)
 	m.stats.Steps += steps
-	m.cfg.Trace.Record(m.Name(), trace.OpRoute, "store-and-forward", steps)
-	sp.SetDetail("store-and-forward").AddSteps(steps).End()
+	sp.SetDetail("store-and-forward").AddSteps(steps)
 	return steps, nil
 }
 
@@ -330,7 +328,7 @@ func (m *Mesh[T]) ShiftRows(delta int) error {
 	if !m.topo.Wrap {
 		return fmt.Errorf("netsim: ShiftRows requires wraparound links")
 	}
-	sp := m.cfg.opSpan("shift")
+	sp := m.cfg.Obs.StartUnder("shift").SetCat(obs.CatNetsim)
 	side := m.topo.Side
 	p := make(permute.Permutation, m.Nodes())
 	for i := range p {
@@ -349,10 +347,8 @@ func (m *Mesh[T]) ShiftRows(delta int) error {
 	m.stats.Steps += d
 	m.stats.LinkTraversals += d * m.Nodes()
 	m.stats.Words += m.Nodes()
-	if m.cfg.traceEnabled() {
-		detail := fmt.Sprintf("rows by %d", delta)
-		m.cfg.Trace.Record(m.Name(), trace.OpShift, detail, d)
-		sp.SetDetail(detail).AddSteps(d)
+	if sp != nil {
+		sp.SetDetail(fmt.Sprintf("rows by %d", delta)).AddSteps(d)
 	}
 	sp.End()
 	return nil

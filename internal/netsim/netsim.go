@@ -35,7 +35,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/roofline"
 	"repro/internal/permute"
-	"repro/internal/trace"
 )
 
 // Stats accumulates the cost counters of a machine.
@@ -89,27 +88,14 @@ type Config struct {
 	// oracle mode in tests).
 	Workers int
 
-	// Trace, when non-nil, records every machine operation (exchanges,
-	// net permutations, routing phases) with its step cost.
-	Trace *trace.Recorder
-
-	// Obs, when non-nil, attaches a timed span (wall time plus step
-	// cost) to every machine operation, nested under the driver's
-	// current span (obs.Tracer.SetParent). The nil default costs one
-	// pointer comparison per operation.
+	// Obs, when non-nil, reports every machine operation (exchange, net
+	// permutation, bit swap, route, shift) once, as a span of category
+	// obs.CatNetsim carrying its detail and data-transfer step cost,
+	// nested under the driver's current span (obs.Tracer.SetParent).
+	// The nil default costs one pointer comparison per operation, and
+	// the untraced path never formats a detail string.
 	Obs *obs.Tracer
 }
-
-// opSpan opens a machine-operation span when span tracing is attached;
-// nil otherwise (every Span method no-ops on nil).
-func (c Config) opSpan(name string) *obs.Span {
-	return c.Obs.StartUnder(name).SetCat(obs.CatNetsim)
-}
-
-// traceEnabled reports whether either telemetry sink wants the
-// operation's detail string; machines skip the fmt.Sprintf otherwise,
-// keeping the untraced hot path free of formatting allocations.
-func (c Config) traceEnabled() bool { return c.Trace != nil || c.Obs != nil }
 
 func (c Config) workers() int {
 	if c.Workers <= 0 {

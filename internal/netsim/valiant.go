@@ -5,8 +5,8 @@ import (
 	"math/rand"
 
 	"repro/internal/bits"
+	"repro/internal/obs"
 	"repro/internal/permute"
-	"repro/internal/trace"
 )
 
 // valiantPacket is a packet in two-phase randomized routing.
@@ -46,6 +46,8 @@ func (h *Hypercube[T]) RouteValiant(p permute.Permutation, rng *rand.Rand) (int,
 	}
 	n := h.Nodes()
 	dims := h.topo.Dims
+	sp := h.cfg.Obs.StartUnder("route").SetCat(obs.CatNetsim)
+	defer sp.End()
 
 	nextDim := func(cur, dst int) int {
 		diff := cur ^ dst
@@ -136,6 +138,6 @@ func (h *Hypercube[T]) RouteValiant(p permute.Permutation, rng *rand.Rand) (int,
 	}
 	copy(h.vals, out)
 	h.stats.Steps += steps
-	h.cfg.Trace.Record(h.Name(), trace.OpRoute, "valiant two-phase", steps)
+	sp.SetDetail("valiant two-phase").AddSteps(steps)
 	return steps, nil
 }

@@ -79,8 +79,8 @@ func snapshotSeries(cohort string, samples []time.Duration, sum, max time.Durati
 }
 
 // nearestRank maps quantile q onto a sorted slice of n samples: index
-// ceil(q*n)-1, clamped — the same convention as trace.Histogram, so
-// cohort quantiles and service quantiles are comparable.
+// ceil(q*n)-1, clamped. A plain floor int(q*n) would be one rank high
+// whenever q*n is an exact integer (p50 of 4 samples is the 2nd).
 func nearestRank(q float64, n int) int {
 	if q <= 0 {
 		return 0

@@ -1,9 +1,11 @@
-// Package obs is the repository's span-tracing and telemetry layer: the
-// wall-clock counterpart to internal/trace's step accounting. A Tracer
-// collects timed spans — named intervals with a parent, a duration and
-// an attached data-transfer step cost — so one request or reproduction
-// run can be attributed phase by phase: plan build, each butterfly
-// rank, the terminal bit-reversal, every netsim routing phase.
+// Package obs is the repository's span-tracing and telemetry layer. A
+// Tracer collects timed spans — named intervals with a parent, a
+// duration and an attached data-transfer step cost — so one request or
+// reproduction run can be attributed phase by phase: plan build, each
+// butterfly rank, the terminal bit-reversal, every netsim machine
+// operation. Spans are also the simulator's step accounting: each
+// netsim operation is reported once, as a CatNetsim span carrying its
+// step cost, and cmd/netsim -schedule lists those spans.
 //
 // The package is engineered around the disabled case: a nil *Tracer is
 // a valid tracer whose Start returns a nil *Span, and every Span method
@@ -329,9 +331,9 @@ func (t *Tracer) Len() int {
 	return len(t.spans)
 }
 
-// StepsByCat sums attached step costs per category — the wall-clock
-// layer's analogue of trace.Recorder.StepsByOp, used by tests to check
-// that span-level accounting agrees with event-level accounting.
+// StepsByCat sums attached step costs per category. Tests use it to
+// check that the netsim spans, the parfft phase spans and the machine's
+// own step counter agree.
 func (t *Tracer) StepsByCat() map[string]int {
 	out := map[string]int{}
 	if t == nil {

@@ -7,15 +7,14 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
-// obsMachines builds one traced machine of every kind at 64 nodes, each
-// sharing a tracer and a recorder so span-level and event-level step
-// accounting can be compared.
-func obsMachines(t *testing.T, tr *obs.Tracer, rec *trace.Recorder) map[string]netsim.Machine[complex128] {
+// obsMachines builds one machine of every kind at 64 nodes, each
+// reporting its operations to tr, so netsim-level and parfft-level
+// span step accounting can be compared.
+func obsMachines(t *testing.T, tr *obs.Tracer) map[string]netsim.Machine[complex128] {
 	t.Helper()
-	cfg := netsim.Config{Workers: 1, Trace: rec, Obs: tr}
+	cfg := netsim.Config{Workers: 1, Obs: tr}
 	mesh, err := netsim.NewMesh[complex128](8, false, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,14 +36,13 @@ func obsMachines(t *testing.T, tr *obs.Tracer, rec *trace.Recorder) map[string]n
 
 // TestSpanStepsMatchRecorder checks the acceptance identity: for one
 // run, the step costs attached to netsim spans, the step costs attached
-// to parfft phase spans (ranks + bit-reversal), the trace.Recorder
-// total and the Result step counts all agree.
+// to parfft phase spans (ranks + bit-reversal), the machine's own step
+// counter and the Result step counts all agree.
 func TestSpanStepsMatchRecorder(t *testing.T) {
-	for name := range obsMachines(t, nil, nil) {
+	for name := range obsMachines(t, nil) {
 		t.Run(name, func(t *testing.T) {
 			tr := obs.New()
-			rec := trace.NewRecorder()
-			m := obsMachines(t, tr, rec)[name]
+			m := obsMachines(t, tr)[name]
 			x := make([]complex128, m.Nodes())
 			rng := rand.New(rand.NewSource(7))
 			for i := range x {
@@ -55,14 +53,14 @@ func TestSpanStepsMatchRecorder(t *testing.T) {
 				t.Fatal(err)
 			}
 			byCat := tr.StepsByCat()
-			if got, want := byCat[obs.CatNetsim], rec.TotalSteps(); got != want {
-				t.Errorf("netsim span steps = %d, recorder total = %d", got, want)
+			if got, want := byCat[obs.CatNetsim], m.Stats().Steps; got != want {
+				t.Errorf("netsim span steps = %d, machine steps = %d", got, want)
 			}
 			if got, want := byCat[obs.CatParfft], res.TotalSteps(); got != want {
 				t.Errorf("parfft span steps = %d, result total = %d", got, want)
 			}
-			if got, want := rec.TotalSteps(), res.TotalSteps(); got != want {
-				t.Errorf("recorder total = %d, result total = %d", got, want)
+			if got, want := m.Stats().Steps, res.TotalSteps(); got != want {
+				t.Errorf("machine steps = %d, result total = %d", got, want)
 			}
 		})
 	}
@@ -73,7 +71,7 @@ func TestSpanStepsMatchRecorder(t *testing.T) {
 // the bit-reversal appear as distinct children of the run span.
 func TestSpanTreeShape(t *testing.T) {
 	tr := obs.New()
-	m := obsMachines(t, tr, nil)["hypercube"]
+	m := obsMachines(t, tr)["hypercube"]
 	x := make([]complex128, m.Nodes())
 	for i := range x {
 		x[i] = complex(float64(i), 0)
@@ -135,14 +133,14 @@ func TestSpanTreeShape(t *testing.T) {
 // TestNilTracerRunMatches checks Options.Tracer = nil changes nothing
 // about the numeric result.
 func TestNilTracerRunMatches(t *testing.T) {
-	for name := range obsMachines(t, nil, nil) {
+	for name := range obsMachines(t, nil) {
 		t.Run(name, func(t *testing.T) {
 			x := make([]complex128, 64)
 			for i := range x {
 				x[i] = complex(float64(i%5), float64(i%3))
 			}
-			plain := obsMachines(t, nil, nil)[name]
-			traced := obsMachines(t, obs.New(), trace.NewRecorder())[name]
+			plain := obsMachines(t, nil)[name]
+			traced := obsMachines(t, obs.New())[name]
 			a, err := Run(plain, x, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -168,7 +166,7 @@ func TestNilTracerRunMatches(t *testing.T) {
 // producing well-formed trees when the tracer accumulates several runs.
 func TestTracedRunnerReuse(t *testing.T) {
 	tr := obs.New()
-	m := obsMachines(t, tr, nil)["mesh"]
+	m := obsMachines(t, tr)["mesh"]
 	r, err := NewRunner(m, Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)

@@ -153,8 +153,8 @@ func (r *Runner) runInto(dst, x []complex128) (*Result, error) {
 
 	// Butterfly ranks: DIF pairs element bit `stage` descending. Each
 	// rank span carries the machine's step delta for that rank, so the
-	// CatParfft step sum equals the CatNetsim one (and the trace.Recorder
-	// total) even on machines whose exchange cost varies by bit.
+	// CatParfft step sum equals the CatNetsim one (and the machine's
+	// Stats().Steps) even on machines whose exchange cost varies by bit.
 	for stage := r.logn - 1; stage >= 0; stage-- {
 		r.stage = stage
 		var rsp *obs.Span

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/pencil"
 	"repro/internal/plancache"
-	"repro/internal/trace"
 )
 
 // latencyBounds are the cumulative upper bounds (seconds) of the
@@ -30,7 +29,7 @@ const numLatencyBounds = 16
 type bucketHist struct {
 	counts [numLatencyBounds + 1]atomic.Int64
 	sumNs  atomic.Int64
-	count  atomic.Int64
+	maxNs  atomic.Int64
 }
 
 func (h *bucketHist) observe(d time.Duration) {
@@ -40,46 +39,100 @@ func (h *bucketHist) observe(d time.Duration) {
 	// exactly the Prometheus le-bucket; equality lands in the bucket.
 	h.counts[i].Add(1)
 	h.sumNs.Add(int64(d))
-	h.count.Add(1)
+	for ns := int64(d); ; {
+		cur := h.maxNs.Load()
+		if ns <= cur || h.maxNs.CompareAndSwap(cur, ns) {
+			break
+		}
+	}
 }
 
 // bucketSnapshot is a consistent-enough read for exposition: cumulative
-// counts per bound plus the +Inf total.
+// counts per bound, the +Inf total, and the exact sum and max.
 type bucketSnapshot struct {
 	cumulative [numLatencyBounds + 1]int64
-	sumSeconds float64
-	count      int64
+	count      int64 // == cumulative[numLatencyBounds]
+	sum, max   time.Duration
 }
 
 func (h *bucketHist) snapshot() bucketSnapshot {
 	var s bucketSnapshot
-	running := int64(0)
 	for i := range h.counts {
-		running += h.counts[i].Load()
-		s.cumulative[i] = running
+		s.count += h.counts[i].Load()
+		s.cumulative[i] = s.count
 	}
-	s.sumSeconds = float64(h.sumNs.Load()) / 1e9
-	s.count = h.count.Load()
+	s.sum = time.Duration(h.sumNs.Load())
+	s.max = time.Duration(h.maxNs.Load())
 	return s
 }
 
-// routeMetrics is the per-route slice of the metrics: a request counter
-// and a latency bucket histogram.
-type routeMetrics struct {
-	count   atomic.Int64
-	latency bucketHist
+// add merges o into s; every route shares latencyBounds, so the
+// buckets add.
+func (s *bucketSnapshot) add(o bucketSnapshot) {
+	for i := range s.cumulative {
+		s.cumulative[i] += o.cumulative[i]
+	}
+	s.count += o.count
+	s.sum += o.sum
+	s.max = max(s.max, o.max)
 }
 
-// Metrics holds the daemon's expvar-style counters: request counts and
-// latency buckets per route, response classes, work counters,
-// plan-cache statistics, queue depth and a windowed latency histogram
-// for quantiles. GET /metrics renders a Snapshot (JSON) or a Prometheus
-// text exposition, depending on the Accept header.
+// quantile estimates the q-th quantile (0 < q <= 1) the way
+// Prometheus's histogram_quantile does: it finds the bucket holding
+// rank q·count and interpolates linearly inside it. The +Inf bucket
+// interpolates from the last finite bound up to the max, and no
+// estimate exceeds the max.
+func (s bucketSnapshot) quantile(q float64) time.Duration {
+	if s.count == 0 {
+		return 0
+	}
+	rank := q * float64(s.count)
+	b := sort.Search(numLatencyBounds, func(i int) bool { return float64(s.cumulative[i]) >= rank })
+	lo, below := 0.0, int64(0)
+	if b > 0 {
+		lo, below = latencyBounds[b-1], s.cumulative[b-1]
+	}
+	hi := s.max.Seconds()
+	if b < numLatencyBounds {
+		hi = latencyBounds[b]
+	}
+	est := lo + (hi-lo)*(rank-float64(below))/float64(s.cumulative[b]-below)
+	return min(time.Duration(est*float64(time.Second)), s.max)
+}
+
+// Latency is the JSON /metrics latency object: request wall time over
+// the process lifetime, all routes together, read from the per-route
+// Prometheus buckets. Count, mean and max are exact; each quantile is
+// interpolated inside its bucket (see bucketSnapshot.quantile).
+type Latency struct {
+	Count  int64   `json:"count"`
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P90MS  float64 `json:"p90_ms"`
+	P99MS  float64 `json:"p99_ms"`
+	MaxMS  float64 `json:"max_ms"`
+}
+
+func (s bucketSnapshot) latency() Latency {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	l := Latency{Count: s.count, MaxMS: ms(s.max)}
+	if s.count > 0 {
+		l.MeanMS = ms(s.sum) / float64(s.count)
+		l.P50MS, l.P90MS, l.P99MS = ms(s.quantile(0.50)), ms(s.quantile(0.90)), ms(s.quantile(0.99))
+	}
+	return l
+}
+
+// Metrics holds the daemon's expvar-style counters: a latency bucket
+// histogram per route (whose count is the route's request count),
+// response classes, work counters, plan-cache statistics and queue
+// depth. GET /metrics renders a Snapshot (JSON) or a Prometheus text
+// exposition, depending on the Accept header.
 type Metrics struct {
 	start time.Time
 
 	mu     sync.Mutex
-	routes map[string]*routeMetrics // by route pattern
+	routes map[string]*bucketHist // by route pattern
 
 	ok2xx, client4xx, server5xx atomic.Int64
 
@@ -89,36 +142,31 @@ type Metrics struct {
 	drained     atomic.Int64 // requests rejected during drain
 
 	slowCaptured atomic.Int64 // requests captured into the slow-trace ring
-
-	latency *trace.Histogram
 }
 
-func newMetrics(latencyWindow int) *Metrics {
+func newMetrics() *Metrics {
 	return &Metrics{
-		start:   time.Now(),
-		routes:  make(map[string]*routeMetrics),
-		latency: trace.NewHistogram(latencyWindow),
+		start:  time.Now(),
+		routes: make(map[string]*bucketHist),
 	}
 }
 
-// route returns the per-route metrics, creating them on first use.
-func (m *Metrics) route(route string) *routeMetrics {
+// route returns the route's histogram, creating it on first use.
+func (m *Metrics) route(route string) *bucketHist {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rm, ok := m.routes[route]
+	h, ok := m.routes[route]
 	if !ok {
-		rm = &routeMetrics{}
-		m.routes[route] = rm
+		h = &bucketHist{}
+		m.routes[route] = h
 	}
-	return rm
+	return h
 }
 
 // observe records one finished request: its route, response status
 // class and wall time.
 func (m *Metrics) observe(route string, status int, elapsed time.Duration) {
-	rm := m.route(route)
-	rm.count.Add(1)
-	rm.latency.observe(elapsed)
+	m.route(route).observe(elapsed)
 	switch {
 	case status >= 500:
 		m.server5xx.Add(1)
@@ -127,22 +175,21 @@ func (m *Metrics) observe(route string, status int, elapsed time.Duration) {
 	default:
 		m.ok2xx.Add(1)
 	}
-	m.latency.Observe(elapsed)
 }
 
 // Snapshot is the JSON body of GET /metrics.
 type Snapshot struct {
-	UptimeSeconds float64                 `json:"uptime_seconds"`
-	Requests      map[string]int64        `json:"requests"`
-	Responses     map[string]int64        `json:"responses"`
-	Transforms    int64                   `json:"transforms"`
-	Simulations   int64                   `json:"simulations"`
-	Coalesced     int64                   `json:"coalesced"`
-	Drained       int64                   `json:"drained"`
-	SlowCaptured  int64                   `json:"slow_captured"`
-	PlanCache     plancache.Stats         `json:"plan_cache"`
-	Queue         poolStats               `json:"queue"`
-	Latency       trace.HistogramSnapshot `json:"latency"`
+	UptimeSeconds float64          `json:"uptime_seconds"`
+	Requests      map[string]int64 `json:"requests"`
+	Responses     map[string]int64 `json:"responses"`
+	Transforms    int64            `json:"transforms"`
+	Simulations   int64            `json:"simulations"`
+	Coalesced     int64            `json:"coalesced"`
+	Drained       int64            `json:"drained"`
+	SlowCaptured  int64            `json:"slow_captured"`
+	PlanCache     plancache.Stats  `json:"plan_cache"`
+	Queue         poolStats        `json:"queue"`
+	Latency       Latency          `json:"latency"`
 	// Cluster carries the routing client's counters; nil when the
 	// server runs single-node.
 	Cluster *cluster.ClientMetrics `json:"cluster,omitempty"`
@@ -151,6 +198,9 @@ type Snapshot struct {
 	Pencil       *pencil.MetricsSnapshot `json:"pencil,omitempty"`
 	PencilWorker *pencil.WorkerStats     `json:"pencil_worker,omitempty"`
 	RouteOrder   []string                `json:"-"`
+	// routeLatency is each route's bucket read, for the Prometheus
+	// histogram; Requests and Latency are derived from the same reads.
+	routeLatency map[string]bucketSnapshot
 }
 
 // snapshot gathers every counter consistently enough for monitoring.
@@ -172,14 +222,19 @@ func (m *Metrics) snapshot(cache *plancache.Cache, pool *workerPool) Snapshot {
 		Coalesced:    m.coalesced.Load(),
 		Drained:      m.drained.Load(),
 		SlowCaptured: m.slowCaptured.Load(),
-		Latency:      m.latency.Snapshot(),
+		routeLatency: map[string]bucketSnapshot{},
 	}
+	var all bucketSnapshot
 	m.mu.Lock()
-	for route, rm := range m.routes {
-		s.Requests[route] = rm.count.Load()
+	for route, h := range m.routes {
+		hs := h.snapshot()
+		s.routeLatency[route] = hs
+		s.Requests[route] = hs.count
 		s.RouteOrder = append(s.RouteOrder, route)
+		all.add(hs)
 	}
 	m.mu.Unlock()
+	s.Latency = all.latency()
 	sort.Strings(s.RouteOrder)
 	if cache != nil {
 		s.PlanCache = cache.Stats()
@@ -188,18 +243,4 @@ func (m *Metrics) snapshot(cache *plancache.Cache, pool *workerPool) Snapshot {
 		s.Queue = pool.stats()
 	}
 	return s
-}
-
-// routeLatencies returns each route's bucket snapshot in sorted route
-// order, for deterministic Prometheus exposition.
-func (m *Metrics) routeLatencies() (order []string, hists map[string]bucketSnapshot) {
-	hists = map[string]bucketSnapshot{}
-	m.mu.Lock()
-	for route, rm := range m.routes {
-		order = append(order, route)
-		hists[route] = rm.latency.snapshot()
-	}
-	m.mu.Unlock()
-	sort.Strings(order)
-	return order, hists
 }

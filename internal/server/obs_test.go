@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -300,7 +301,7 @@ func TestUntracedRequestsSkipRing(t *testing.T) {
 // Requests map always hold the same key set (the satellite fix: both
 // are derived inside one critical section).
 func TestSnapshotRouteOrderMatchesRequests(t *testing.T) {
-	m := newMetrics(0)
+	m := newMetrics()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -345,5 +346,121 @@ func TestBucketHistCumulative(t *testing.T) {
 		if s.cumulative[i] < s.cumulative[i-1] {
 			t.Fatalf("bucket %d not cumulative", i)
 		}
+	}
+}
+
+// TestBucketQuantile pins the bucket interpolation behind the JSON
+// latency quantiles.
+func TestBucketQuantile(t *testing.T) {
+	hist := func(ds ...time.Duration) bucketSnapshot {
+		var h bucketHist
+		for _, d := range ds {
+			h.observe(d)
+		}
+		return h.snapshot()
+	}
+	repeat := func(d time.Duration, n int) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = d
+		}
+		return out
+	}
+	uniform := make([]time.Duration, 1000) // 0.1ms, 0.2ms, ..., 100ms
+	for i := range uniform {
+		uniform[i] = time.Duration(i+1) * 100 * time.Microsecond
+	}
+	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
+	for _, tc := range []struct {
+		name          string
+		s             bucketSnapshot
+		p50, p90, p99 time.Duration
+	}{
+		{"empty", hist(), 0, 0, 0},
+		// Half the samples at 3ms, half at 4ms: all in (2.5ms, 5ms].
+		{"one bucket", hist(append(repeat(3*time.Millisecond, 50), repeat(4*time.Millisecond, 50)...)...),
+			ms(3.75), ms(4), ms(4)},
+		// le is inclusive, so 1ms samples fill (0.5ms, 1ms].
+		{"on a bound", hist(repeat(time.Millisecond, 10)...), ms(0.75), ms(0.95), ms(0.995)},
+		// Overflow interpolates from the last bound (10s) to the max.
+		{"overflow", hist(repeat(20*time.Second, 4)...), 15 * time.Second, 19 * time.Second, ms(19900)},
+		{"uniform", hist(uniform...), ms(50), ms(90), ms(99)},
+	} {
+		for _, q := range []struct {
+			q    float64
+			want time.Duration
+		}{{0.50, tc.p50}, {0.90, tc.p90}, {0.99, tc.p99}} {
+			got := tc.s.quantile(q.q)
+			if d := got - q.want; d < -time.Microsecond || d > time.Microsecond {
+				t.Errorf("%s: p%g = %v, want %v", tc.name, 100*q.q, got, q.want)
+			}
+			if got > tc.s.max {
+				t.Errorf("%s: p%g = %v exceeds max %v", tc.name, 100*q.q, got, tc.s.max)
+			}
+		}
+	}
+}
+
+// TestJSONLatencyMatchesProm checks that after mixed traffic on two
+// routes the JSON latency object and the Prometheus histogram describe
+// the same requests: latency.count is the sum of the per-route _count
+// series, and the quantiles are ordered and bounded by the max.
+func TestJSONLatencyMatchesProm(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i := 0; i < 20; i++ {
+		resp := postBody(t, ts.URL+"/v1/fft", `{"input": [[1,0],[2,0],[3,0],[4,0]]}`)
+		resp.Body.Close()
+		if i%2 == 0 {
+			resp = postBody(t, ts.URL+"/v1/fft", `{"input": "not samples"}`)
+			resp.Body.Close()
+		}
+		hr, err := testClient.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Body.Close()
+	}
+	snap := s.metrics.snapshot(s.cache, s.pool)
+	var prom bytes.Buffer
+	if err := s.metrics.writePrometheus(&prom, snap); err != nil {
+		t.Fatal(err)
+	}
+	var promCount int64
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if strings.HasPrefix(line, "fftd_request_duration_seconds_count{") {
+			var v int64
+			if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			promCount += v
+		}
+	}
+	body, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		Latency map[string]json.RawMessage `json:"latency"`
+	}
+	if err := json.Unmarshal(body, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"} {
+		if _, ok := decoded.Latency[k]; !ok {
+			t.Errorf("latency object lacks %q: %s", k, body)
+		}
+	}
+	lat := snap.Latency
+	if lat.Count != 50 || lat.Count != promCount {
+		t.Errorf("latency.count = %d, Prometheus _count sum = %d, want 50", lat.Count, promCount)
+	}
+	if !(0 < lat.P50MS && lat.P50MS <= lat.P90MS && lat.P90MS <= lat.P99MS && lat.P99MS <= lat.MaxMS) {
+		t.Errorf("quantiles out of order: %+v", lat)
+	}
+	if lat.MeanMS <= 0 || lat.MeanMS > lat.MaxMS {
+		t.Errorf("mean %v outside (0, max %v]", lat.MeanMS, lat.MaxMS)
 	}
 }

@@ -19,10 +19,10 @@ const localPencilWorker = "local"
 // FFT2DRequest asks for one multidimensional FFT over row-major
 // complex input. Rows x Cols is a 2D transform; Depth > 1 extends it to
 // a Rows x Cols x Depth 3D transform (input ordered x, then y, then z).
-// The request always runs through the pencil coordinator: single-node
-// it is served by the in-process worker, in cluster mode the row slabs
-// and column bands spread across the ring and the transpose travels the
-// wire protocol.
+// The request always runs through the pencil coordinator, which
+// transforms every row itself: single-node the in-process worker holds
+// the column bands, in cluster mode the bands spread across the ring and
+// the transpose travels the wire protocol.
 type FFT2DRequest struct {
 	Rows    int       `json:"rows"`
 	Cols    int       `json:"cols"`
@@ -83,8 +83,8 @@ func (s *Server) pencilWorkers(ctx context.Context) []string {
 
 // handleFFT2D serves distributed 2D/3D pencil FFTs. The whole run is
 // one worker-pool job: coordinating a pencil run is itself
-// compute-bearing work (row FFTs on the self-owned slab run in
-// process), so it gets the pool's backpressure like any transform.
+// compute-bearing work (the coordinator runs every row FFT in process),
+// so it gets the pool's backpressure like any transform.
 func (s *Server) handleFFT2D(w http.ResponseWriter, r *http.Request) {
 	var req FFT2DRequest
 	if err := decodeBody(w, r, s.maxBodyBytes(), &req); err != nil {

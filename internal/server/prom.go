@@ -196,10 +196,9 @@ func (m *Metrics) writePrometheus(w io.Writer, s Snapshot) error {
 
 	// Per-route latency histogram with the fixed cumulative bounds of
 	// latencyBounds plus the mandatory +Inf bucket.
-	order, hists := m.routeLatencies()
 	pw.Header("fftd_request_duration_seconds", "histogram", "Request wall time by route.")
-	for _, route := range order {
-		h := hists[route]
+	for _, route := range s.RouteOrder {
+		h := s.routeLatency[route]
 		rl := obs.Label{Name: "route", Value: route}
 		for i, le := range latencyBounds {
 			pw.Sample("fftd_request_duration_seconds_bucket",
@@ -207,7 +206,7 @@ func (m *Metrics) writePrometheus(w io.Writer, s Snapshot) error {
 		}
 		pw.Sample("fftd_request_duration_seconds_bucket",
 			[]obs.Label{rl, {Name: "le", Value: "+Inf"}}, float64(h.cumulative[len(latencyBounds)]))
-		pw.Sample("fftd_request_duration_seconds_sum", []obs.Label{rl}, h.sumSeconds)
+		pw.Sample("fftd_request_duration_seconds_sum", []obs.Label{rl}, h.sum.Seconds())
 		pw.Sample("fftd_request_duration_seconds_count", []obs.Label{rl}, float64(h.count))
 	}
 

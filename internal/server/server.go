@@ -57,9 +57,6 @@ type Config struct {
 	PencilMemCap int64
 	// MaxSimNodes rejects simulations larger than this; 0 means 2^14.
 	MaxSimNodes int
-	// LatencyWindow is the latency histogram's sample window; 0 means
-	// trace.DefaultHistogramWindow.
-	LatencyWindow int
 	// Logger, when non-nil, receives one structured record per finished
 	// request (id, route, status, elapsed). Nil disables request logging.
 	Logger *slog.Logger
@@ -141,7 +138,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   plancache.New(cfg.PlanCacheSize),
 		pool:    newWorkerPool(cfg.Workers, cfg.QueueDepth),
-		metrics: newMetrics(cfg.LatencyWindow),
+		metrics: newMetrics(),
 		slow:    newSlowRing(cfg.SlowRingSize),
 		rids:    newRequestIDs(),
 	}
