@@ -235,7 +235,7 @@ alloc-baseline:
 # alloc-compare rebuilds the hot packages with -gcflags=-m and fails if
 # any hot function escapes more than the committed baseline allows
 # (highest ALLOC_*.json by default; override with
-# ALLOC_BASELINE=ALLOC_4.json).
+# ALLOC_BASELINE=ALLOC_5.json).
 ALLOC_BASELINE ?=
 alloc-compare:
 	$(GO) run ./cmd/fftalloc compare $(if $(ALLOC_BASELINE),-baseline $(ALLOC_BASELINE))
@@ -255,6 +255,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzAnyPlanDFT -fuzztime=$(FUZZTIME) ./internal/fft
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/cluster/wire
 	$(GO) test -fuzz=FuzzDecodeFFTRequest -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^FuzzParse$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/jsonnum
+	$(GO) test -run='^FuzzAppendFloat$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=$(FUZZTIME) ./internal/jsonnum
 
 # vuln scans the module with govulncheck when it is installed; the tool
 # is optional so offline environments are not broken.

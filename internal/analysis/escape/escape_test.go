@@ -190,7 +190,7 @@ func TestHotPackagesFindsMarkedDirs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"internal/bench", "internal/cluster/wire", "internal/fft", "internal/parfft", "internal/plancache"}
+	want := []string{"internal/bench", "internal/cluster/wire", "internal/fft", "internal/jsonnum", "internal/parfft", "internal/plancache"}
 	if !reflect.DeepEqual(dirs, want) {
 		t.Fatalf("HotPackages = %v, want %v", dirs, want)
 	}

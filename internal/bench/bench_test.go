@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -189,6 +190,51 @@ func TestRegisteredSuitesSetUpAndRun(t *testing.T) {
 			if _, err := RunSuite(s, opt); err != nil {
 				t.Errorf("suite %s: %v", s.Name, err)
 			}
+		}
+	}
+}
+
+// TestHandlerFFTAllocations pins what one /v1/fft request allocates
+// through Handler().ServeHTTP, socket aside, at three sizes. The codec
+// decodes into a pooled arena and renders into the body's buffer, so the
+// count must not grow with n; the margin over today's 28–29 absorbs a
+// pooled buffer refilled after a GC, never an allocation per sample.
+// The bytes are mostly the n×16 B input copy the transform makes.
+func TestHandlerFFTAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a quarter of sync.Pool puts, so pooled buffers refill")
+	}
+	for _, c := range []struct {
+		n         int
+		maxAllocs float64
+		maxKB     float64
+	}{
+		{256, 34, 8},
+		{1024, 34, 21},
+		{4096, 34, 72},
+	} {
+		op, cleanup, err := setupHandlerFFT(c.n)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op(); err != nil { // warm the plan cache and the codec pool
+			cleanup()
+			t.Fatal(err)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := op(); err != nil {
+				panic(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		cleanup()
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / 1024
+		t.Logf("n=%d: %.1f allocs, %.1f KB per request", c.n, allocs, kb)
+		if allocs > c.maxAllocs || kb > c.maxKB {
+			t.Errorf("n=%d: %.1f allocs and %.1f KB per request, want at most %.0f and %.0f KB", c.n, allocs, kb, c.maxAllocs, c.maxKB)
 		}
 	}
 }

@@ -84,6 +84,7 @@ func All() []Suite {
 		{Name: fmt.Sprintf("netsim/route/hypercube/n%d", machineN), Setup: setupRoute("hypercube")},
 		{Name: fmt.Sprintf("netsim/route/hypermesh/n%d", machineN), Setup: setupRoute("hypermesh")},
 		{Name: fmt.Sprintf("fftd/http/fft/n%d", httpN), Setup: setupHTTPFFT},
+		{Name: "fftd/handler/fft/n1024", Setup: setupHandlerFFT(httpN)}, // named without a Sprintf escape
 		{Name: fmt.Sprintf("cluster/route/n%d", httpN), Setup: setupClusterRoute, Comm: commClusterRoute},
 		{Name: fmt.Sprintf("pencil/2d/%dx%d", pencilRows, pencilCols), Setup: setupPencil, Comm: commPencil},
 	}
@@ -450,23 +451,26 @@ func buildClusterRoute() (*cluster.Client, *wire.TransformOp, func(), error) {
 	return client, &op, cleanup, nil
 }
 
+// fftBody is a /v1/fft request for one transform of n random samples.
+func fftBody(n int) ([]byte, error) {
+	input := make([]server.Complex, n)
+	rng := rand.New(rand.NewSource(8))
+	for i := range input {
+		input[i] = server.Complex{rng.NormFloat64(), rng.NormFloat64()}
+	}
+	return json.Marshal(server.FFTRequest{TransformSpec: server.TransformSpec{Input: input}})
+}
+
 func setupHTTPFFT() (func() error, func(), error) {
+	body, err := fftBody(httpN)
+	if err != nil {
+		return nil, nil, err
+	}
 	srv := server.New(server.Config{Workers: 2, QueueDepth: 64})
 	ts := httptest.NewServer(srv.Handler())
 	cleanup := func() {
 		ts.Close()
 		srv.Close()
-	}
-
-	input := make([]server.Complex, httpN)
-	rng := rand.New(rand.NewSource(8))
-	for i := range input {
-		input[i] = server.Complex{rng.NormFloat64(), rng.NormFloat64()}
-	}
-	body, err := json.Marshal(server.FFTRequest{TransformSpec: server.TransformSpec{Input: input}})
-	if err != nil {
-		cleanup()
-		return nil, nil, err
 	}
 	client := ts.Client()
 	url := ts.URL + "/v1/fft"
@@ -483,3 +487,56 @@ func setupHTTPFFT() (func() error, func(), error) {
 		return nil
 	}, cleanup, nil
 }
+
+// setupHandlerFFT is fftd/http/fft without the socket: one n-sample
+// request through Handler().ServeHTTP into a discarding ResponseWriter,
+// so it prices the codec, middleware and worker pool, and at n = httpN
+// the difference between the two suites is the HTTP transport's.
+func setupHandlerFFT(n int) func() (func() error, func(), error) {
+	return func() (func() error, func(), error) {
+		body, err := fftBody(n)
+		if err != nil {
+			return nil, nil, err
+		}
+		srv := server.New(server.Config{Workers: 2, QueueDepth: 64})
+		h := srv.Handler()
+		w := &discardResponse{header: http.Header{}}
+		rb := new(replayBody)
+		req := httptest.NewRequest(http.MethodPost, "/v1/fft", rb)
+		return func() error {
+			clear(w.header)
+			w.status = 0
+			rb.Reset(body)
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				return fmt.Errorf("bench: /v1/fft returned %d", w.status)
+			}
+			return nil
+		}, srv.Close, nil
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps the status and drops
+// the body.
+type discardResponse struct {
+	header http.Header
+	status int
+}
+
+func (d *discardResponse) Header() http.Header { return d.header }
+
+func (d *discardResponse) WriteHeader(status int) {
+	if d.status == 0 {
+		d.status = status
+	}
+}
+
+func (d *discardResponse) Write(b []byte) (int, error) {
+	d.WriteHeader(http.StatusOK)
+	return len(b), nil
+}
+
+// replayBody serves one request body again and again.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }

@@ -8,16 +8,18 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"repro/internal/jsonnum"
 )
 
 // The /v1/fft sample codec. A transform request is almost entirely
 // numbers, and encoding/json's reflection-driven decode and encode cost
 // far more than the transform itself, so this path parses and renders
-// the documented schema by hand. The contract with encoding/json is
-// exact: a body the codec decodes yields the same FFTRequest encoding/json
-// would, every other body is handed to encoding/json (so acceptance and
-// error text cannot differ), and appendFFTResponse writes the bytes
-// json.Encoder would.
+// the documented schema by hand, each sample with internal/jsonnum's
+// kernels. The contract with encoding/json is exact: a body the codec
+// decodes yields the same FFTRequest encoding/json would, every other
+// body is handed to encoding/json (so acceptance and error text cannot
+// differ), and appendFFTResponse writes the bytes json.Encoder would.
 
 // fftCodec is one /v1/fft request's pooled scratch: the request body,
 // reused for the encoded response once the body is decoded, and the
@@ -273,55 +275,16 @@ func (p *fftParser) boolean(v *bool) bool {
 }
 
 // number parses one number in the strict JSON grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, with strconv.ParseFloat
-// as encoding/json does. It reports false for a value out of float64
-// range, which encoding/json rejects.
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, to the value
+// strconv.ParseFloat gives, as encoding/json does. It reports false for
+// a value out of float64 range, which encoding/json rejects.
 func (p *fftParser) number() (float64, bool) {
 	p.skipSpace()
-	b, start := p.b, p.i
-	i := start
-	if i < len(b) && b[i] == '-' {
-		i++
+	f, end, ok := jsonnum.Parse(p.b, p.i)
+	if ok {
+		p.i = end
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
-	default:
-		return 0, false
-	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return 0, false
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return 0, false
-		}
-		i = j
-	}
-	f, err := strconv.ParseFloat(string(b[start:i]), 64)
-	if err != nil {
-		return 0, false
-	}
-	p.i = i
-	return f, true
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
+	return f, ok
 }
 
 // consume skips whitespace, then consumes c if it comes next.
@@ -417,18 +380,5 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs > 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		n := len(b)
-		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
+	return jsonnum.AppendFloat(b, f), nil
 }

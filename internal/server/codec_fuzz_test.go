@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/load"
@@ -67,6 +69,41 @@ func preparedBodies(t testing.TB, full bool) [][]byte {
 	return bodies
 }
 
+// sameRequest reports whether two decoded requests are equal, every
+// sample of every spec compared by its bits: reflect.DeepEqual compares
+// floats with ==, so alone it would take -0 for 0.
+func sameRequest(got, want *server.FFTRequest) bool {
+	if !reflect.DeepEqual(*got, *want) || !sameSamples(&got.TransformSpec, &want.TransformSpec) {
+		return false
+	}
+	for i := range got.Transforms {
+		if !sameSamples(&got.Transforms[i], &want.Transforms[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSamples compares the samples of two specs of equal shape by bits.
+func sameSamples(got, want *server.TransformSpec) bool {
+	return sameBits(slices.Concat(complexParts(got.Input), got.RealInput, complexParts(got.RealInverse)),
+		slices.Concat(complexParts(want.Input), want.RealInput, complexParts(want.RealInverse)))
+}
+
+func complexParts(pairs []server.Complex) []float64 {
+	parts := make([]float64, 0, 2*len(pairs))
+	for _, p := range pairs {
+		parts = append(parts, p[0], p[1])
+	}
+	return parts
+}
+
+func sameBits(got, want []float64) bool {
+	return slices.EqualFunc(got, want, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	})
+}
+
 // TestCodecDecodesPreparedBodies: every body the load generator sends
 // takes the codec's own parse, not the encoding/json fallback, and
 // decodes to what encoding/json gives.
@@ -77,8 +114,8 @@ func TestCodecDecodesPreparedBodies(t *testing.T) {
 		}
 		want, _, _ := decodeWithEncodingJSON(body, int64(len(body)))
 		server.DecodeFFTRequest(body, int64(len(body)), func(got *server.FFTRequest, status int, msg string) {
-			if status != http.StatusOK || !reflect.DeepEqual(*got, want) {
-				t.Errorf("prepared body %.80s: codec %d %q, request differs: %v", body, status, msg, !reflect.DeepEqual(*got, want))
+			if status != http.StatusOK || !sameRequest(got, &want) {
+				t.Errorf("prepared body %.80s: codec %d %q, request differs: %v", body, status, msg, !sameRequest(got, &want))
 			}
 		})
 	}
@@ -116,7 +153,7 @@ func FuzzDecodeFFTRequest(f *testing.F) {
 			if status != wantStatus || msg != wantMsg {
 				t.Fatalf("body %q cap %d: codec %d %q, encoding/json %d %q", body, limit, status, msg, wantStatus, wantMsg)
 			}
-			if status == http.StatusOK && !reflect.DeepEqual(*got, want) {
+			if status == http.StatusOK && !sameRequest(got, &want) {
 				t.Fatalf("body %q: codec decoded %+v, encoding/json %+v", body, *got, want)
 			}
 		})
