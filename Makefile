@@ -235,7 +235,7 @@ alloc-baseline:
 # alloc-compare rebuilds the hot packages with -gcflags=-m and fails if
 # any hot function escapes more than the committed baseline allows
 # (highest ALLOC_*.json by default; override with
-# ALLOC_BASELINE=ALLOC_5.json).
+# ALLOC_BASELINE=ALLOC_6.json).
 ALLOC_BASELINE ?=
 alloc-compare:
 	$(GO) run ./cmd/fftalloc compare $(if $(ALLOC_BASELINE),-baseline $(ALLOC_BASELINE))

@@ -114,38 +114,30 @@ func log2(n int) int {
 	return l
 }
 
-// buildComplex builds the machine carrying complex samples.
-func buildComplex(network string, n int, wrap bool, cfg netsim.Config) (netsim.Machine[complex128], error) {
-	switch network {
-	case "mesh":
-		return netsim.NewMesh[complex128](isqrt(n), wrap, cfg)
-	case "hypercube":
-		return netsim.NewHypercube[complex128](log2(n), cfg)
-	case "hypermesh":
-		return netsim.NewHypermesh[complex128](isqrt(n), 2, cfg)
-	case "karyn":
-		dims := log2(n) / 3
-		if dims < 1 || 1<<uint(3*dims) != n {
-			return nil, fmt.Errorf("karyn needs n = 8^dims, got %d", n)
-		}
-		return netsim.NewKAryNCube[complex128](8, dims, cfg)
-	default:
-		return nil, fmt.Errorf("unknown network %q", network)
+// build builds a machine through netsim.Build, which starts at 4 nodes
+// as fftd's /v1/simulate does, plus the smaller machines the simulator
+// runs: the 1-node mesh and the 1- and 2-node cubes.
+func build[T any](network string, n int, wrap bool, cfg netsim.Config) (netsim.Machine[T], error) {
+	switch {
+	case network == "mesh" && n == 1:
+		return netsim.NewMesh[T](1, wrap, cfg)
+	case network == "hypercube" && (n == 1 || n == 2):
+		return netsim.NewHypercube[T](log2(n), cfg)
 	}
+	return netsim.Build[T](network, n, wrap, cfg)
 }
 
-// buildFloat builds the machine carrying sort keys.
-func buildFloat(network string, n int, wrap bool, cfg netsim.Config) (netsim.Machine[float64], error) {
-	switch network {
-	case "mesh":
-		return netsim.NewMesh[float64](isqrt(n), wrap, cfg)
-	case "hypercube":
-		return netsim.NewHypercube[float64](log2(n), cfg)
-	case "hypermesh":
-		return netsim.NewHypermesh[float64](isqrt(n), 2, cfg)
-	default:
-		return nil, fmt.Errorf("unknown network %q", network)
+// buildComplex builds the machine carrying complex samples: build's
+// networks plus the 8-ary n-cube.
+func buildComplex(network string, n int, wrap bool, cfg netsim.Config) (netsim.Machine[complex128], error) {
+	if network != "karyn" {
+		return build[complex128](network, n, wrap, cfg)
 	}
+	dims := log2(n) / 3
+	if dims < 1 || 1<<uint(3*dims) != n {
+		return nil, fmt.Errorf("karyn needs n = 8^dims, got %d", n)
+	}
+	return netsim.NewKAryNCube[complex128](8, dims, cfg)
 }
 
 // writeSchedule lists the machine operations the tracer saw, in the
@@ -245,7 +237,7 @@ func run(w io.Writer, network string, n int, wrap bool, scenario string, seed in
 		return t.Render(w)
 
 	case "bitonic":
-		m, err := buildFloat(network, n, wrap, cfg)
+		m, err := build[float64](network, n, wrap, cfg)
 		if err != nil {
 			return err
 		}

@@ -29,14 +29,14 @@ func main() {
 			0.1*rng.NormFloat64()
 	}
 
-	// Plan once, transform; the real-input helper returns the n/2+1
-	// non-redundant bins.
-	plan, err := hypermeshfft.NewPlan(n)
+	// Plan once, transform; the real-input plan returns the n/2+1
+	// non-redundant bins from a half-length complex transform.
+	rplan, err := hypermeshfft.NewRealPlan(n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	power := plan.PowerSpectrum(signal)
+	power := rplan.PowerSpectrum(signal)
 
 	// Report the two strongest bins (excluding DC).
 	type peak struct {
@@ -59,6 +59,11 @@ func main() {
 	}
 
 	// Round-trip sanity check through the complex API.
+	plan, err := hypermeshfft.NewPlan(n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	buf := make([]complex128, n)
 	for i, v := range signal {
 		buf[i] = complex(v, 0)

@@ -331,12 +331,6 @@ func FindCrossoverVsHypercube(threshold float64, maxK int, prop float64) (*Cross
 
 // ---- More transform plans ----
 
-// Radix4Plan is the radix-4 DIF transform for lengths 4^k.
-type Radix4Plan = fft.Radix4Plan
-
-// NewRadix4Plan creates a radix-4 plan.
-func NewRadix4Plan(n int) (*Radix4Plan, error) { return fft.NewRadix4Plan(n) }
-
 // RealPlan computes real-input DFTs via a half-length complex
 // transform.
 type RealPlan = fft.RealPlan

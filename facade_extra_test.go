@@ -377,14 +377,6 @@ func TestFacadePlansAndMachines(t *testing.T) {
 	if _, err := NewPlan2D(8, 8); err != nil {
 		t.Fatal(err)
 	}
-	r4, err := NewRadix4Plan(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randomSignal(256, 50)
-	if d := fft.MaxAbsDiff(r4.Forward(x), MustPlan(256).Forward(x)); d > 1e-7 {
-		t.Fatalf("radix-4 facade differs by %g", d)
-	}
 	rp, err := NewRealPlan(128)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -190,6 +191,28 @@ func TestRegisteredSuitesSetUpAndRun(t *testing.T) {
 			if _, err := RunSuite(s, opt); err != nil {
 				t.Errorf("suite %s: %v", s.Name, err)
 			}
+		}
+	}
+}
+
+// TestClusterRouteForwardsN1024 builds the cluster/route harness over
+// and over: placement hashes ephemeral ports, so each build draws a new
+// ring, and every one of them must time an n = 1024 op its peer serves.
+func TestClusterRouteForwardsN1024(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		client, op, cleanup, err := buildClusterRoute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := client.Metrics()
+		_, err = client.Transform(context.Background(), op)
+		d := client.Metrics().Sub(before)
+		cleanup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.N() != httpN || d.Forwarded != 1 {
+			t.Fatalf("build %d: op n=%d with %d forwarded, want n=%d with 1", i, op.N(), d.Forwarded, httpN)
 		}
 	}
 }

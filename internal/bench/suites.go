@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"strings"
 
-	"repro/internal/bits"
 	"repro/internal/cluster"
 	"repro/internal/cluster/wire"
 	"repro/internal/fft"
@@ -27,7 +26,10 @@ import (
 // Suite sizes. Serial kernels run at the paper's flagship N = 4096;
 // the simulated machines run at N = 256 (a 16x16 mesh/hypermesh, an
 // 8-cube) so one distributed FFT stays in the hundreds of microseconds
-// and a sample holds several full runs.
+// and a sample holds several full runs. They are the machines fftd's
+// /v1/simulate builds (a mesh with wrap links), with Workers: 1 so the
+// simulation stays single-threaded and the measured signal is the
+// schedule's work, not goroutine fan-out jitter.
 const (
 	serialN  = 4096
 	dctN     = 1024
@@ -71,7 +73,6 @@ func All() []Suite {
 	return []Suite{
 		{Name: fmt.Sprintf("fft/transform/n%d", serialN), Setup: setupFFTTransform},
 		{Name: fmt.Sprintf("fft/bitreverse/n%d", serialN), Setup: setupBitReverse},
-		{Name: fmt.Sprintf("fft/radix4/n%d", serialN), Setup: setupRadix4},
 		{Name: fmt.Sprintf("fft/real/n%d", serialN), Setup: setupReal},
 		{Name: fmt.Sprintf("fft/splitradix/n%d", splitRadixN), Setup: setupSplitRadix},
 		{Name: fmt.Sprintf("fft/anyplan/n%d", anyN), Setup: setupAnyPlan},
@@ -142,19 +143,6 @@ func setupBitReverse() (func() error, func(), error) {
 	}, nil, nil
 }
 
-func setupRadix4() (func() error, func(), error) {
-	p, err := fft.NewRadix4Plan(serialN)
-	if err != nil {
-		return nil, nil, err
-	}
-	src := randComplex(serialN, 3)
-	dst := make([]complex128, serialN)
-	return func() error {
-		p.Transform(dst, src)
-		return nil
-	}, nil, nil
-}
-
 func setupReal() (func() error, func(), error) {
 	p, err := fft.NewRealPlan(serialN)
 	if err != nil {
@@ -212,31 +200,6 @@ func setupDCT() (func() error, func(), error) {
 
 // ---- simulated machines ----
 
-// buildMachine constructs the word-level machine for a topology name.
-// Workers: 1 keeps the simulation single-threaded, so the measured
-// signal is the schedule's work, not goroutine fan-out jitter.
-func buildMachine(topo string, n int) (netsim.Machine[complex128], error) {
-	cfg := netsim.Config{Workers: 1}
-	switch topo {
-	case "mesh":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return netsim.NewMesh[complex128](side, true, cfg)
-	case "hypercube":
-		return netsim.NewHypercube[complex128](bits.Log2(n), cfg)
-	case "hypermesh":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return netsim.NewHypermesh[complex128](side, 2, cfg)
-	default:
-		return nil, fmt.Errorf("bench: unknown topology %q", topo)
-	}
-}
-
 // commParfft profiles one distributed FFT's communication on the
 // simulated machine: the netsim Words counter gives the payload bytes
 // one op moves, and CommRoofline relates them to the BSP lower bound
@@ -244,7 +207,7 @@ func buildMachine(topo string, n int) (netsim.Machine[complex128], error) {
 // the schedule, not the run, so a single execution is exact.
 func commParfft(topo string) func() (int64, float64, error) {
 	return func() (int64, float64, error) {
-		m, err := buildMachine(topo, machineN)
+		m, err := netsim.Build[complex128](topo, machineN, true, netsim.Config{Workers: 1})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -259,7 +222,7 @@ func commParfft(topo string) func() (int64, float64, error) {
 
 func setupParfft(topo string) func() (func() error, func(), error) {
 	return func() (func() error, func(), error) {
-		m, err := buildMachine(topo, machineN)
+		m, err := netsim.Build[complex128](topo, machineN, true, netsim.Config{Workers: 1})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -289,7 +252,7 @@ func setupPlanCacheHit() (func() error, func(), error) {
 
 func setupRoute(topo string) func() (func() error, func(), error) {
 	return func() (func() error, func(), error) {
-		m, err := buildMachine(topo, machineN)
+		m, err := netsim.Build[complex128](topo, machineN, true, netsim.Config{Workers: 1})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -355,12 +318,12 @@ func commPencil() (int64, float64, error) {
 
 // ---- end-to-end service ----
 
-// setupClusterRoute measures one transform routed through a two-node
-// ring over real loopback TCP: shape hashing, preference-list lookup,
-// the binary wire round-trip and remote plan-cache execution. The op's
-// size is chosen so the remote peer owns its shard — the suite tracks
-// the forwarding path, not the local shortcut (which plancache/hit and
-// fft/transform already cover).
+// setupClusterRoute measures one n = httpN transform routed through a
+// two-node ring over real loopback TCP: shape hashing, preference-list
+// lookup, the binary wire round-trip and remote plan-cache execution.
+// The client runs as the node that does not own the shape, so the suite
+// tracks the forwarding path, not the local shortcut (which
+// plancache/hit and fft/transform already cover).
 func setupClusterRoute() (func() error, func(), error) {
 	client, op, cleanup, err := buildClusterRoute()
 	if err != nil {
@@ -417,7 +380,15 @@ func buildClusterRoute() (*cluster.Client, *wire.TransformOp, func(), error) {
 		_ = a.Close()
 		return nil, nil, nil, err
 	}
+	// Placement hashes the nodes' ephemeral addresses, but the ring
+	// over {a, b} is the same whichever node is self: make a the node
+	// that does not own the shape, so every op takes the wire.
 	reg := cluster.NewRegistry(a.Addr(), []string{b.Addr()}, cluster.RegistryConfig{})
+	if reg.Ring().Lookup(cluster.ShapeKey{N: httpN}.Hash()) == a.Addr() {
+		reg.Stop()
+		a, b = b, a
+		reg = cluster.NewRegistry(a.Addr(), []string{b.Addr()}, cluster.RegistryConfig{})
+	}
 	client, err := cluster.NewClient(reg, cluster.ClientConfig{
 		Self:  a.Addr(),
 		Local: exec(plancache.New(8)),
@@ -433,15 +404,7 @@ func buildClusterRoute() (*cluster.Client, *wire.TransformOp, func(), error) {
 		_ = b.Close()
 	}
 
-	// Find a size the peer owns, so every measured op takes the wire.
-	ring := reg.Ring()
-	n := httpN
-	for ; n <= httpN<<4; n <<= 1 {
-		if ring.Lookup(cluster.ShapeKey{N: n}.Hash()) == b.Addr() {
-			break
-		}
-	}
-	op := wire.TransformOp{Input: randComplex(n, 9)}
+	op := wire.TransformOp{Input: randComplex(httpN, 9)}
 	// Warm the remote plan cache and the connection pool outside the
 	// measurement.
 	if _, err := client.Transform(context.Background(), &op); err != nil {

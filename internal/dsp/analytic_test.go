@@ -75,8 +75,11 @@ func TestAnalyticSignalValidates(t *testing.T) {
 func TestGoertzelMatchesFFTBin(t *testing.T) {
 	n := 512
 	x := twoTone(n, 32, 100, float64(n))
-	plan := fft.MustPlan(n)
-	spec := plan.RealForward(x)
+	plan, err := fft.NewRealPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := plan.Forward(x)
 	for _, bin := range []int{0, 16, 32, 100, 200} {
 		p, err := Goertzel(x, bin)
 		if err != nil {

@@ -84,7 +84,7 @@ func Spectrogram(x []float64, fftSize, hop int, win Window) ([][]float64, error)
 	if hop < 1 {
 		return nil, fmt.Errorf("dsp: hop %d < 1", hop)
 	}
-	plan, err := fft.NewPlan(fftSize)
+	plan, err := fft.NewRealPlan(fftSize)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Package fft implements the radix-2 Cooley–Tukey fast Fourier
 // transform: plan-based iterative transforms (decimation in time and in
-// frequency), a recursive variant, inverse and real-input transforms, a
-// 2D transform and a naive DFT used as the correctness oracle.
+// frequency), inverse and real-input transforms, 2D and 3D transforms
+// and a naive DFT used as the correctness oracle.
 //
 // The decimation-in-frequency (DIF) form is the one whose data-flow
 // graph appears in the paper's Fig. 3 — an SW-banyan/butterfly graph on

@@ -249,44 +249,12 @@ func TestDIFTwiddleExponentPanicsOutOfRange(t *testing.T) {
 	p.DIFTwiddleExponent(3, 0)
 }
 
-func TestRealForwardMatchesComplex(t *testing.T) {
-	n := 128
-	p := MustPlan(n)
-	rng := rand.New(rand.NewSource(71))
-	x := make([]float64, n)
-	cx := make([]complex128, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		cx[i] = complex(x[i], 0)
-	}
-	spec := p.RealForward(x)
-	full := p.Forward(cx)
-	for k := range spec {
-		if cmplx.Abs(spec[k]-full[k]) > tol(n) {
-			t.Fatalf("real spectrum bin %d differs", k)
-		}
-	}
-}
-
-func TestRealRoundTrip(t *testing.T) {
-	n := 256
-	p := MustPlan(n)
-	rng := rand.New(rand.NewSource(72))
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := p.RealInverse(p.RealForward(x))
-	for i := range x {
-		if math.Abs(x[i]-y[i]) > tol(n) {
-			t.Fatalf("real round trip differs at %d", i)
-		}
-	}
-}
-
 func TestPowerSpectrumPeak(t *testing.T) {
 	n := 1024
-	p := MustPlan(n)
+	p, err := NewRealPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := make([]float64, n)
 	freq := 100
 	for i := range x {

@@ -21,7 +21,10 @@ import "sync"
 // become cache-resident after the first few ranks), so the transposes
 // only pay for themselves once the streaming ranks dominate: measured
 // on the fftbench host the decomposition still lost 8% at 2^22 and
-// first won (by 7%) at 2^23, so the switch sits there.
+// first won (by 7%) at 2^23, so the switch sits there. fftd caps
+// transforms at 2^22, but AnyPlan's inner plan for every
+// non-power-of-two length in (2^21, 2^22] is 2^23 long, so served
+// Bluestein transforms of those lengths run this kernel twice each.
 const fourStepMin = 1 << 23
 
 // fourStepPlan holds the factorization state hung off a Plan when

@@ -11,10 +11,10 @@ import (
 // n using a single complex transform of length n/2 (the classic packing
 // trick): the even samples become real parts and the odd samples
 // imaginary parts, and a post-processing pass untangles the two
-// half-spectra. It does half the work of Plan.RealForward, which runs a
-// full-length complex transform. A RealPlan is safe for concurrent use:
-// the only mutable state is the inverse scratch pool, which hands each
-// caller its own buffer.
+// half-spectra, which does half the work of a full-length complex
+// transform of the widened signal. A RealPlan is safe for concurrent
+// use: the only mutable state is the inverse scratch pool, which hands
+// each caller its own buffer.
 type RealPlan struct {
 	n    int
 	half *Plan
@@ -113,6 +113,18 @@ func (p *RealPlan) ForwardInto(dst []complex128, x []float64) []complex128 {
 	dst[0] = complex(real(z0)+imag(z0), 0)
 	dst[h] = complex(real(z0)-imag(z0), 0)
 	return dst
+}
+
+// PowerSpectrum returns |X[k]|^2 for the n/2+1 non-redundant bins of
+// the real signal x — the quantity the quickstart example plots.
+func (p *RealPlan) PowerSpectrum(x []float64) []float64 {
+	spec := p.Forward(x)
+	out := make([]float64, len(spec))
+	for i, v := range spec {
+		re, im := real(v), imag(v)
+		out[i] = re*re + im*im
+	}
+	return out
 }
 
 // twiddle returns W_n^k for k in [0, n/2].

@@ -29,8 +29,6 @@ type Kind string
 const (
 	KindComplex Kind = "complex" // *fft.Plan
 	KindReal    Kind = "real"    // *fft.RealPlan
-	KindRadix4  Kind = "radix4"  // *fft.Radix4Plan
-	KindDCT     Kind = "dct"     // *fft.DCTPlan
 	KindAny     Kind = "any"     // *fft.AnyPlan
 	KindPlan2D  Kind = "plan2d"  // *fft.Plan2D, N packed as rows<<32|cols
 )

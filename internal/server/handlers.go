@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bits"
@@ -307,10 +308,13 @@ func (s *Server) checkLen(n int) error {
 	return nil
 }
 
-// handleFFT serves single and batch transforms. Each transform of a
-// batch is an independent worker-pool job, so a batch fans out across
-// the pool and large batches get the pool's backpressure. The body is
-// decoded and the response encoded by the sample codec (codec.go).
+// handleFFT serves single and batch transforms. A batch runs as at most
+// one worker-pool job per worker, each taking the next transform from a
+// shared counter: it fans out across the pool without taking more queue
+// slots than there are workers, so a batch larger than the queue waits
+// for the workers instead of being refused, and a single transform is
+// one job. The body is decoded and the response encoded by the sample
+// codec (codec.go).
 func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 	c := getFFTCodec()
 	var req FFTRequest
@@ -331,38 +335,59 @@ func (s *Server) handleFFT(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]TransformResult, len(specs))
-	errs := make([]error, len(specs))
+	var next atomic.Int64
+	run := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(specs) {
+				return
+			}
+			res, err := s.runTransform(r.Context(), specs[i])
+			if err != nil {
+				res = TransformResult{Error: err.Error()}
+			} else {
+				s.metrics.transforms.Add(1)
+			}
+			results[i] = res
+		}
+	}
+	errs := make([]error, min(len(specs), s.pool.workers))
 	var wg sync.WaitGroup
-	for i := range specs {
+	for j := range errs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			spec := specs[i]
-			errs[i] = s.pool.do(r.Context(), func() {
-				res, err := s.runTransform(r.Context(), spec)
-				if err != nil {
-					res = TransformResult{Error: err.Error()}
-				} else {
-					s.metrics.transforms.Add(1)
-				}
-				results[i] = res
-			})
-		}(i)
+			errs[j] = s.pool.do(r.Context(), run)
+			if errs[j] != nil && !errors.Is(errs[j], ErrSaturated) {
+				// The request fails: leave no transform for the
+				// other jobs to start.
+				next.Store(int64(len(specs)))
+			}
+		}()
 	}
 	wg.Wait()
 
-	// Pool-level failures (drain, timeout, worker panic) fail the whole
-	// request: the batch result would otherwise silently hold holes. A
-	// job whose wait ended on the request context may still run and read
-	// the decoded samples, so c is left to the garbage collector.
+	// A job the full queue refused leaves its transforms to the
+	// accepted jobs, which take transforms until none is left, so
+	// saturation fails the request only when every job was refused.
+	// Other pool-level failures (drain, timeout, worker panic) fail the
+	// whole request: the batch result would otherwise silently hold
+	// holes. A job whose wait ended on the request context may still run
+	// and read the decoded samples, so c is left to the garbage
+	// collector.
+	accepted := 0
 	for _, err := range errs {
-		if err != nil {
-			if errors.Is(err, ErrDraining) {
-				s.metrics.drained.Add(1)
-			}
+		switch {
+		case err == nil:
+			accepted++
+		case !errors.Is(err, ErrSaturated):
 			writeError(w, err)
 			return
 		}
+	}
+	if accepted == 0 {
+		writeError(w, errs[0])
+		return
 	}
 	defer putFFTCodec(c)
 	body, err := appendFFTResponse(c.buf[:0], &FFTResponse{Batch: len(specs), Results: results})
@@ -454,34 +479,6 @@ type SimulateResponse struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 }
 
-// buildMachine constructs the simulated machine for a request. A
-// non-nil tracer attaches machine-operation spans to the request's
-// span tree.
-func buildMachine(network string, n int, wrap bool, tr *obs.Tracer) (netsim.Machine[complex128], error) {
-	if !bits.IsPow2(n) || n < 4 {
-		return nil, badRequest("n = %d must be a power of two >= 4", n)
-	}
-	cfg := netsim.Config{Obs: tr}
-	switch network {
-	case "mesh", "hypermesh":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		if side*side != n {
-			return nil, badRequest("%s needs a square n, got %d", network, n)
-		}
-		if network == "mesh" {
-			return netsim.NewMesh[complex128](side, wrap, cfg)
-		}
-		return netsim.NewHypermesh[complex128](side, 2, cfg)
-	case "hypercube":
-		return netsim.NewHypercube[complex128](bits.Log2(n), cfg)
-	default:
-		return nil, badRequest("unknown network %q", network)
-	}
-}
-
 // runSimulation executes one scenario; it is the flight-group leader's
 // workload and runs on the worker pool. The leader's tracer (when the
 // request is traced) follows the machine down into netsim and parfft,
@@ -497,9 +494,9 @@ func (s *Server) runSimulation(ctx context.Context, req SimulateRequest) (*Simul
 	}
 	switch req.Scenario {
 	case "fft":
-		m, err := buildMachine(req.Network, req.N, *req.Wrap, tr)
+		m, err := netsim.Build[complex128](req.Network, req.N, *req.Wrap, netsim.Config{Obs: tr})
 		if err != nil {
-			return nil, err
+			return nil, badRequest("%v", err)
 		}
 		x := make([]complex128, req.N)
 		for i := range x {
@@ -545,9 +542,9 @@ func (s *Server) runSimulation(ctx context.Context, req SimulateRequest) (*Simul
 		return resp, nil
 
 	case "bitreversal", "random":
-		m, err := buildMachine(req.Network, req.N, *req.Wrap, tr)
+		m, err := netsim.Build[complex128](req.Network, req.N, *req.Wrap, netsim.Config{Obs: tr})
 		if err != nil {
-			return nil, err
+			return nil, badRequest("%v", err)
 		}
 		var p permute.Permutation
 		if req.Scenario == "bitreversal" {
@@ -632,9 +629,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return resp, runErr
 	})
 	if err != nil {
-		if errors.Is(err, ErrDraining) {
-			s.metrics.drained.Add(1)
-		}
 		writeError(w, err)
 		return
 	}

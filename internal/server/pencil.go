@@ -175,9 +175,6 @@ func (s *Server) handleFFT2D(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	if poolErr != nil {
-		if errors.Is(poolErr, ErrDraining) {
-			s.metrics.drained.Add(1)
-		}
 		writeError(w, poolErr)
 		return
 	}

@@ -329,6 +329,7 @@ type statusRecorder struct {
 	status      int
 	wroteHeader bool
 	body        *bytes.Buffer // pooled; nil until the first Write
+	err         error         // the error writeError rendered, if any
 }
 
 func (r *statusRecorder) Header() http.Header { return r.w.Header() }
@@ -349,7 +350,7 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 
 // reset discards what the handler wrote.
 func (r *statusRecorder) reset() {
-	r.status, r.wroteHeader = http.StatusOK, false
+	r.status, r.wroteHeader, r.err = http.StatusOK, false, nil
 	if r.body != nil {
 		r.body.Reset()
 	}
@@ -422,6 +423,9 @@ func (s *Server) route(pattern string, h http.HandlerFunc, traceable bool) {
 
 		elapsed := time.Since(start)
 		s.metrics.observe(pattern, rec.status, elapsed)
+		if errors.Is(rec.err, ErrDraining) {
+			s.metrics.drained.Add(1)
+		}
 		var ro obs.Rollup
 		if tr != nil {
 			root.End()
@@ -543,8 +547,13 @@ const retryAfterSeconds = "1"
 
 // writeError renders err with its mapped status code. Saturation
 // rejections carry a Retry-After header so well-behaved clients back
-// off instead of hammering a full queue.
+// off instead of hammering a full queue. Inside a route it also hands
+// err to the route's recorder, so the middleware counts a request
+// refused while draining once, whichever route refused it.
 func writeError(w http.ResponseWriter, err error) {
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.err = err
+	}
 	status := httpStatus(err)
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", retryAfterSeconds)

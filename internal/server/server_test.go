@@ -188,6 +188,134 @@ func TestHTTPSaturationReturns429(t *testing.T) {
 	}
 }
 
+// TestFFTBatchLargerThanQueue sends batches many times the pool's one
+// queue slot to an idle server. A batch takes at most one job per
+// worker, so each must finish with 200 and every result, never a 429
+// the client could only retry into the same refusal.
+func TestFFTBatchLargerThanQueue(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	const n, batch = 1024, 64
+	rng := rand.New(rand.NewSource(11))
+	specs := make([]TransformSpec, batch)
+	for i := range specs {
+		in := make([]Complex, n)
+		for k := range in {
+			in[k] = Complex{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		specs[i] = TransformSpec{Input: in}
+	}
+	plan := fft.MustPlan(n)
+	for run := 0; run < 5; run++ {
+		resp := postJSON(t, ts.URL+"/v1/fft", FFTRequest{Transforms: specs})
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			t.Fatalf("run %d: batch of %d on an idle server: status %d, want 200", run, batch, resp.StatusCode)
+		}
+		body := decode[FFTResponse](t, resp)
+		if body.Batch != batch || len(body.Results) != batch {
+			t.Fatalf("run %d: batch shape %d/%d, want %d", run, body.Batch, len(body.Results), batch)
+		}
+		for _, i := range []int{0, batch - 1} {
+			want := plan.Forward(toComplex(specs[i].Input))
+			if d := fft.MaxAbsDiff(toComplex(body.Results[i].Output), want); d > 1e-9 {
+				t.Fatalf("run %d: result %d differs from direct by %g", run, i, d)
+			}
+		}
+	}
+}
+
+// TestFFTBatchOneJobRefused keeps both workers of a one-slot pool busy,
+// so one of a batch's two jobs queues and the other is refused. The
+// queued job takes every transform once the workers free up, so the
+// request answers 200 with every result rather than 429.
+func TestFFTBatchOneJobRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 1})
+	block := make(chan struct{})
+	var held sync.WaitGroup
+	for range 2 {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			if err := s.pool.do(context.Background(), func() { <-block }); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for s.pool.stats().Active < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	const n, batch = 256, 16
+	rng := rand.New(rand.NewSource(12))
+	specs := make([]TransformSpec, batch)
+	for i := range specs {
+		in := make([]Complex, n)
+		for k := range in {
+			in[k] = Complex{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		specs[i] = TransformSpec{Input: in}
+	}
+	data, err := json.Marshal(FFTRequest{Transforms: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := testClient.Post(ts.URL+"/v1/fft", "application/json", bytes.NewReader(data))
+		done <- reply{resp, err}
+	}()
+	for s.pool.stats().Rejected == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(block)
+	held.Wait()
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.resp.StatusCode != http.StatusOK {
+		got.resp.Body.Close()
+		t.Fatalf("batch with one of two jobs refused: status %d, want 200", got.resp.StatusCode)
+	}
+	body := decode[FFTResponse](t, got.resp)
+	if len(body.Results) != batch {
+		t.Fatalf("%d results, want %d", len(body.Results), batch)
+	}
+	plan := fft.MustPlan(n)
+	for i, res := range body.Results {
+		want := plan.Forward(toComplex(specs[i].Input))
+		if d := fft.MaxAbsDiff(toComplex(res.Output), want); d > 1e-9 {
+			t.Fatalf("result %d differs from direct by %g", i, d)
+		}
+	}
+}
+
+// TestDrainCountsEveryComputeRoute closes the server, then sends one
+// request to each compute route: each is refused with 503, and each
+// refusal counts once in fftd_drained_total.
+func TestDrainCountsEveryComputeRoute(t *testing.T) {
+	s := New(Config{})
+	s.Close()
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/fft", `{"input":[[1,0],[2,0]]}`},
+		{http.MethodPost, "/v1/fft2d", `{"rows":2,"cols":2,"input":[[1,0],[2,0],[3,0],[4,0]]}`},
+		{http.MethodPost, "/v1/simulate", `{"network":"hypermesh","n":16,"scenario":"fft"}`},
+		{http.MethodGet, "/v1/compare?n=64&table=2a", ""},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s after Close: status %d, want 503", c.path, rec.Code)
+		}
+	}
+	if got := s.MetricsSnapshot().Drained; got != 4 {
+		t.Fatalf("drained = %d after four refused requests, want 4", got)
+	}
+}
+
 func TestPoolCloseRunsQueuedJobs(t *testing.T) {
 	p := newWorkerPool(1, 8)
 	block := make(chan struct{})
